@@ -117,7 +117,7 @@ def _verify_group(n: int, top: int, coalitions, families, stats: SweepStats):
 
 
 def verify_all_queries(n: int = 2, max_worth: int = 6,
-                       progress=None, fail_fast: bool = True) -> SweepStats:
+                       fail_fast: bool = True) -> SweepStats:
     """Run decide+emit+check over every query on every game with integer
     worths in [0, max_worth]: all players, all knowledge families, all grid
     proposals with sum at most the grand worth.
@@ -137,8 +137,6 @@ def verify_all_queries(n: int = 2, max_worth: int = 6,
     try:
         for top in range(max_worth + 1):
             _verify_group(n, top, coalitions, families, stats)
-            if progress is not None:
-                progress(top, stats)
             _purge_spaces()
             gc.collect()
             if fail_fast and stats.failures:

@@ -45,6 +45,7 @@ from .logic import (
     ThoughtSequent,
     check_proof,
     strict_gain,
+    witness_derivation,
 )
 
 # ---------------------------------------------------------------------------
@@ -482,27 +483,7 @@ class _Emitter:
         space = self.space
         i = self.i
         witness = space.disjunct_for(i, x_units, tag, w_units)
-        ach, geq_s, strict = witness.members
-
-        la = ProofTree(ThoughtSequent(prefix, FormulaSet.of((ach,)),
-                                      FormulaSet.of((ach,))), Rule.LogicalAxiom)
-        nla_geq = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                           FormulaSet.of((geq_s,))), Rule.NonLogicalAxiom)
-        nla_gi = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                          FormulaSet.of((strict.members[0],))),
-                           Rule.NonLogicalAxiom)
-        nla_ngi = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                           FormulaSet.of((strict.members[1],))),
-                            Rule.NonLogicalAxiom)
-        andr_strict = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                               FormulaSet.of((strict,))),
-                                Rule.AndRight, (nla_gi, nla_ngi),
-                                RuleMeta(principal=strict))
-        th = [ProofTree(ThoughtSequent(prefix, gamma_fs, FormulaSet.of((f,))),
-                        Rule.Th, (child,))
-              for f, child in ((ach, la), (geq_s, nla_geq), (strict, andr_strict))]
-        andr = ProofTree(ThoughtSequent(prefix, gamma_fs, FormulaSet.of((witness,))),
-                         Rule.AndRight, tuple(th), RuleMeta(principal=witness))
+        andr = witness_derivation(prefix, gamma_fs, witness)
         big_or = space.big_or(i, x_units)
         orr = ProofTree(ThoughtSequent(prefix, gamma_fs, FormulaSet.of((big_or,))),
                         Rule.OrRight, (andr,), RuleMeta(principal=big_or, member=witness))

@@ -243,19 +243,6 @@ def is_balanced(n: int, family: Iterable[Coalition]) -> Optional[dict[Coalition,
     return None
 
 
-_SMALL_MINIMAL = {
-    1: ((("1",), (1,)),),
-    2: ((("1", "2"), (1, 1)),
-        (("1,2",), (1,))),
-    3: ((("1", "2", "3"), (1, 1, 1)),
-        (("1", "2,3"), (1, 1)),
-        (("2", "1,3"), (1, 1)),
-        (("3", "1,2"), (1, 1)),
-        (("1,2", "1,3", "2,3"), (Fraction(1, 2),) * 3),
-        (("1,2,3",), (1,))),
-}
-
-
 def _enumerate_minimal(n: int) -> tuple[BalancedFamily, ...]:
     """Vertices of the balancedness polytope: full-rank supports of at most
     n coalitions whose unique solution is strictly positive."""
@@ -275,24 +262,12 @@ def _enumerate_minimal(n: int) -> tuple[BalancedFamily, ...]:
 
 @lru_cache(maxsize=None)
 def minimal_balanced_families(n: int) -> tuple[BalancedFamily, ...]:
-    """All minimal balanced families (unique, strictly positive weights).
-
-    Small sizes are written out directly and confirmed against the solver
-    enumeration; n = 4 comes from the enumeration alone.
-    """
+    """All minimal balanced families (unique, strictly positive weights),
+    enumerated by the solver for 1 <= n <= 4."""
     if not 1 <= n <= 4:
         raise UnsupportedSizeError(
             f"minimal balanced family enumeration supports 1 <= n <= 4, got {n}")
-    enumerated = _enumerate_minimal(n)
-    if n in _SMALL_MINIMAL:
-        direct = tuple(
-            BalancedFamily(n, tuple(Coalition.parse(c) for c in fam),
-                           tuple(Fraction(w) for w in ws))
-            for fam, ws in _SMALL_MINIMAL[n])
-        assert set((b.family, b.weights) for b in direct) \
-            == set((b.family, b.weights) for b in enumerated), \
-            "solver enumeration disagrees with the written-out families"
-    return enumerated
+    return _enumerate_minimal(n)
 
 
 def bondareva_shapley_nonempty(game: TUGame) -> bool:

@@ -12,8 +12,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
 3 unsupported size.  All output orderings are canonical, so identical
-inputs give byte-identical output.  `--jobs` is accepted for interface
-stability; execution is sequential.
+inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -262,15 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cores, acceptability proofs, and replica economies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_jobs(p):
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker bound (accepted; execution is sequential)")
-
     p = sub.add_parser("core", help="print the integer core of a game")
     p.add_argument("game", help="game JSON file")
     p.add_argument("-o", "--output", help="also write the vectors as JSON")
     p.add_argument("--csv", help="also write the vectors as CSV")
-    add_jobs(p)
     p.set_defaults(func=_cmd_core)
 
     p = sub.add_parser("accept", help="verdict for one player and proposal")
@@ -300,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", default="covering",
                    help='"covering", "all", or a JSON file of profiles')
     p.add_argument("-o", "--output", help="write the reports as JSON")
-    add_jobs(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("balanced", help="minimal balanced families")
@@ -317,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the replica count from the config")
     p.add_argument("-o", "--output", help="write the full report as JSON")
     p.add_argument("--csv", help="write the grid core as CSV")
-    add_jobs(p)
     p.set_defaults(func=_cmd_replica)
 
     return parser

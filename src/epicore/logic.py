@@ -568,6 +568,33 @@ class ProofTree:
         return f"ProofTree({self.rule.value}, {self.sequent!r}, {len(self.children)} children)"
 
 
+def witness_derivation(prefix: Sequence[int], gamma: FormulaSet, witness: And) -> ProofTree:
+    """gamma |- witness for a rejection witness Ach /\\ Geq /\\ strict gain.
+
+    AndRight over Th-weakened leaves: the logical axiom Ach |- Ach, the
+    non-logical axiom |- Geq, and |- strict gain as AndRight over its two
+    non-logical axioms.  The leaves need only Ach in gamma.
+    """
+    ach, geq, strict = witness.members
+
+    def axiom(f):
+        return ProofTree(ThoughtSequent(prefix, EMPTY_SET, FormulaSet.of((f,))),
+                         Rule.NonLogicalAxiom)
+
+    leaves = (
+        ProofTree(ThoughtSequent(prefix, FormulaSet.of((ach,)), FormulaSet.of((ach,))),
+                  Rule.LogicalAxiom),
+        axiom(geq),
+        ProofTree(ThoughtSequent(prefix, EMPTY_SET, FormulaSet.of((strict,))),
+                  Rule.AndRight, tuple(axiom(f) for f in strict.members),
+                  RuleMeta(principal=strict)),
+    )
+    th = tuple(ProofTree(ThoughtSequent(prefix, gamma, FormulaSet.of((f,))), Rule.Th, (leaf,))
+               for f, leaf in zip(witness.members, leaves))
+    return ProofTree(ThoughtSequent(prefix, gamma, FormulaSet.of((witness,))),
+                     Rule.AndRight, th, RuleMeta(principal=witness))
+
+
 # ---------------------------------------------------------------------------
 # axioms
 

@@ -31,18 +31,14 @@ from typing import Iterable, Optional, Sequence
 from .errors import InvalidInputError, UnsupportedSizeError, VerificationFailure
 from .games import Coalition
 from .logic import (
-    EMPTY_SET,
     Ach,
     And,
     ComparisonOracle,
     FormulaSet,
     Geq,
-    ProofTree,
-    Rule,
-    RuleMeta,
-    ThoughtSequent,
     check_proof,
     strict_gain,
+    witness_derivation,
 )
 
 Bundle = tuple[Fraction, Fraction]
@@ -381,53 +377,71 @@ class _Tables:
     def pair(self, res: tuple[int, int]):
         """Staircase for two-member splits of an exact unit resource.
 
-        Returns (avals, bvals): ascending first-member ranks, and for each
-        the best second-member rank achievable with first rank >= avals[i].
+        Returns (avals, bvals, splits): ascending first-member ranks; for
+        each, the best second-member rank achievable with first rank >=
+        avals[i]; and a split reaching it, coded by the first member's
+        bundle (m1, m2) as m1 * (r2 + 1) + m2 (see `unpair`).
         """
         st = self._pair.get(res)
         if st is None:
             r1, r2 = res
             rank = self.rank
             best: dict[int, int] = {}
+            at: dict[int, int] = {}
+            code = 0
             for m1 in range(r1 + 1):
                 for m2 in range(r2 + 1):
                     a = rank[(m1, m2)]
                     b = rank[(r1 - m1, r2 - m2)]
                     if best.get(a, -1) < b:
                         best[a] = b
-            items = sorted(best.items())
-            avals = []
+                        at[a] = code
+                    code += 1
+            avals = sorted(best)
             bvals = []
-            cur = -1
-            for a, b in reversed(items):
-                if b > cur:
-                    cur = b
-                avals.append(a)
+            splits = []
+            cur, cur_at = -1, None
+            for a in reversed(avals):
+                if best[a] > cur:
+                    cur = best[a]
+                    cur_at = at[a]
                 bvals.append(cur)
-            avals.reverse()
+                splits.append(cur_at)
             bvals.reverse()
-            st = self._pair[res] = (avals, bvals)
+            splits.reverse()
+            st = self._pair[res] = (avals, bvals, splits)
         return st
 
-    def pair_meets(self, res, p: int, q: int) -> bool:
-        # some split has first rank >= p and second rank >= q
-        avals, bvals = self.pair(res)
-        i = bisect_left(avals, p)
-        return i < len(avals) and bvals[i] >= q
+    @staticmethod
+    def unpair(res: tuple[int, int], code: int) -> tuple:
+        """The two unit bundles of the split of res that `code` names."""
+        r1, r2 = res
+        m1, m2 = divmod(code, r2 + 1)
+        return (m1, m2), (r1 - m1, r2 - m2)
 
-    def pair_strict(self, res, p: int, q: int) -> bool:
-        # a split meeting (p, q) that is strictly above at one member
-        avals, bvals = self.pair(res)
+    def pair_meets(self, res, p: int, q: int) -> Optional[int]:
+        # a split with first rank >= p and second rank >= q, or None
+        avals, bvals, splits = self.pair(res)
+        i = bisect_left(avals, p)
+        if i < len(avals) and bvals[i] >= q:
+            return splits[i]
+        return None
+
+    def pair_strict(self, res, p: int, q: int) -> Optional[int]:
+        # a split meeting (p, q) that is strictly above at one member, or None
+        avals, bvals, splits = self.pair(res)
         i = bisect_left(avals, p)
         if i == len(avals):
-            return False
+            return None
         m = bvals[i]
         if m > q:
-            return True
+            return splits[i]
         if m < q:
-            return False
+            return None
         j = bisect_right(avals, p)
-        return j < len(avals) and bvals[j] >= q
+        if j < len(avals) and bvals[j] >= q:
+            return splits[j]
+        return None
 
     def upper_min(self, target: int) -> tuple:
         """Componentwise-minimal grid bundles with rank >= target."""
@@ -483,41 +497,67 @@ class _Coalitions:
         ones = sum(1 for j in idxs if j <= k)
         return (ones * den, (len(idxs) - ones) * den)
 
-    def blocked(self, ranks: tuple[int, ...], skip_singles: bool = False) -> bool:
-        """Is the allocation with these member ranks rejected by the family?"""
+    def blocked(self, ranks: tuple[int, ...],
+                skip_singles: bool = False) -> Optional[tuple[int, ...]]:
+        """The first coalition of the family that rejects the allocation
+        with these member ranks, or None."""
         if not skip_singles:
             e = self.endow_rank
             for j in self.singles:
                 if e > ranks[j - 1]:
-                    return True
+                    return (j,)
         for idxs in self.larger:
-            if self._blocked_by(idxs, ranks):
-                return True
-        return False
+            if self._blocked_by(idxs, ranks) is not None:
+                return idxs
+        return None
 
-    def _blocked_by(self, idxs: tuple[int, ...], ranks: tuple[int, ...]) -> bool:
+    def bundles(self, idxs: tuple[int, ...], ranks: tuple[int, ...]) -> Optional[tuple]:
+        """Unit bundles, one per member of idxs in order, by which idxs
+        rejects the allocation with these member ranks, or None."""
+        res = self.resource(idxs)
+        if len(idxs) == 1:
+            return (res,) if self.endow_rank > ranks[idxs[0] - 1] else None
+        split = self._blocked_by(idxs, ranks)
+        if split is None:
+            return None
+        unpair = self.tables.unpair
+        if len(idxs) == 2:
+            return unpair(res, split)
+        if len(idxs) == 3:
+            pos, single, code = split
+            pair = unpair((res[0] - single[0], res[1] - single[1]), code)
+            return pair[:pos] + (single,) + pair[pos:]
+        res_a, front, back = split
+        return unpair(res_a, front) + unpair((res[0] - res_a[0], res[1] - res_a[1]), back)
+
+    def _blocked_by(self, idxs: tuple[int, ...], ranks: tuple[int, ...]):
+        """How idxs rejects these ranks, as the staircase splits that reach
+        a dominating profile (decoded by `bundles`), or None."""
         t = self.tables
         targets = tuple(ranks[j - 1] for j in idxs)
         size = len(idxs)
         if size == 2:
             return t.pair_strict(self.resource(idxs), targets[0], targets[1])
         key = (idxs, targets)
-        hit = self._memo.get(key)
-        if hit is None:
-            if size == 3:
-                hit = self._blocked_three(idxs, targets)
-            elif size == 4:
-                hit = self._blocked_four(idxs, targets)
-            else:
-                raise UnsupportedSizeError(
-                    f"no query plan for a coalition of size {size}")
-            self._memo[key] = hit
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        if size == 3:
+            hit = self._blocked_three(idxs, targets)
+        elif size == 4:
+            hit = self._blocked_four(idxs, targets)
+        else:
+            raise UnsupportedSizeError(
+                f"no query plan for a coalition of size {size}")
+        self._memo[key] = hit
         return hit
 
-    def _blocked_three(self, idxs, targets) -> bool:
+    def _blocked_three(self, idxs, targets):
         # Peel one member off as a singleton and treat the rest as a pair.
         # Minimal single bundles suffice: utility is strictly monotone, so
         # any surplus freed by shrinking the single makes the pair strict.
+        # The split is (peeled position, its bundle, the pair's split).
         t = self.tables
         r1, r2 = self.resource(idxs)
         k = self.k
@@ -526,21 +566,24 @@ class _Coalitions:
             types.index(2) if types.count(2) == 1 else 0)
         tc = targets[pos]
         ta, tb = (targets[p] for p in range(3) if p != pos)
-        for m1, m2 in t.upper_min(tc):
+        for single in t.upper_min(tc):
+            m1, m2 = single
             if m1 > r1 or m2 > r2:
                 continue
             rest = (r1 - m1, r2 - m2)
-            if t.rank[(m1, m2)] > tc:
-                if t.pair_meets(rest, ta, tb):
-                    return True
-            elif t.pair_strict(rest, ta, tb):
-                return True
-        return False
+            if t.rank[single] > tc:
+                code = t.pair_meets(rest, ta, tb)
+            else:
+                code = t.pair_strict(rest, ta, tb)
+            if code is not None:
+                return pos, single, code
+        return None
 
-    def _blocked_four(self, idxs, targets) -> bool:
+    def _blocked_four(self, idxs, targets):
         # Split into two fixed pairs; any dominating profile decomposes
         # under any fixed pairing, so one pairing and all resource splits
-        # cover every case.
+        # cover every case.  The split is (front resource, front split,
+        # back split).
         t = self.tables
         r1, r2 = self.resource(idxs)
         ta, tb = targets[0], targets[1]
@@ -549,13 +592,16 @@ class _Coalitions:
             for a2 in range(r2 + 1):
                 res_a = (a1, a2)
                 res_b = (r1 - a1, r2 - a2)
-                if not t.pair_meets(res_a, ta, tb):
+                front = t.pair_meets(res_a, ta, tb)
+                if front is None:
                     continue
-                if t.pair_strict(res_b, tc, td):
-                    return True
-                if t.pair_strict(res_a, ta, tb) and t.pair_meets(res_b, tc, td):
-                    return True
-        return False
+                back = t.pair_strict(res_b, tc, td)
+                if back is None:
+                    front = t.pair_strict(res_a, ta, tb)
+                    back = None if front is None else t.pair_meets(res_b, tc, td)
+                if back is not None:
+                    return res_a, front, back
+        return None
 
 
 def _family_indices(economy: ReplicaEconomy, sets: Iterable) -> tuple[tuple[int, ...], ...]:
@@ -578,6 +624,20 @@ def _all_subsets(economy: ReplicaEconomy) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _plan(economy: ReplicaEconomy, coalitions: Optional[Iterable] = None) -> _Coalitions:
+    """Query plan over `coalitions` (default: the effective family); the
+    one size guard of grid_core and partial_knowledge_witness."""
+    k = economy.k
+    den = economy.base.grid_denominator
+    if k > 2 or k * den > 16:
+        raise UnsupportedSizeError(
+            f"replica grid queries are guarded to k <= 2 and k*D <= 16; "
+            f"got k={k}, D={den}")
+    if coalitions is None:
+        coalitions = effective_coalitions(k)
+    return _Coalitions(economy, _family_indices(economy, coalitions))
+
+
 # ---------------------------------------------------------------------------
 # grid core
 
@@ -593,27 +653,16 @@ def grid_core(economy: ReplicaEconomy, *, coalitions: Optional[Iterable] = None,
     grid: dominators that live between grid points are not seen.
     """
     k = economy.k
-    den = economy.base.grid_denominator
-    if coalitions is not None:
-        if exhaustive:
+    if exhaustive:
+        if coalitions is not None:
             raise InvalidInputError("choose either a coalition family or exhaustive mode")
-        if k > 2 or k * den > 16:
-            raise UnsupportedSizeError(
-                f"grid core enumeration is guarded to k <= 2 and k*D <= 16; "
-                f"got k={k}, D={den}")
-        family = _family_indices(economy, coalitions)
-    elif exhaustive:
+        den = economy.base.grid_denominator
         if k > 2 or den > 4:
             raise UnsupportedSizeError(
                 f"exhaustive mode is guarded to k <= 2 and D <= 4; got k={k}, D={den}")
-        family = _all_subsets(economy)
+        plan = _Coalitions(economy, _all_subsets(economy))
     else:
-        if k > 2 or k * den > 16:
-            raise UnsupportedSizeError(
-                f"grid core enumeration is guarded to k <= 2 and k*D <= 16; "
-                f"got k={k}, D={den}")
-        family = _family_indices(economy, effective_coalitions(k))
-    plan = _Coalitions(economy, family)
+        plan = _plan(economy, coalitions)
     if k == 1:
         survivors = _core_k1(plan)
     else:
@@ -633,7 +682,7 @@ def _core_k1(plan: _Coalitions):
             ranks = (rank[(m1, m2)], rank[other])
             if prefilter and (e > ranks[0] or e > ranks[1]):
                 continue
-            if plan.blocked(ranks, skip_singles=prefilter):
+            if plan.blocked(ranks, skip_singles=prefilter) is not None:
                 continue
             out.append(Allocation((_frac((m1, m2), den), _frac(other, den))))
     return out
@@ -663,7 +712,7 @@ def _core_k2(plan: _Coalitions):
             continue
         for b1, b2, r1, r2 in plist:
             for b3, b4, r3, r4 in qlist:
-                if blocked((r1, r2, r3, r4), skip_singles=prefilter):
+                if blocked((r1, r2, r3, r4), skip_singles=prefilter) is not None:
                     continue
                 out.append(Allocation((_frac(b1, den), _frac(b2, den),
                                        _frac(b3, den), _frac(b4, den))))
@@ -691,36 +740,26 @@ def partial_knowledge_witness(economy: ReplicaEconomy, x: Allocation):
     _check_allocation(economy, x, "x")
     if not _feasible_total(economy, x):
         raise InvalidInputError("x must redistribute the total endowment exactly")
-    k = economy.k
-    den = economy.base.grid_denominator
-    if k > 2 or k * den > 16:
-        raise UnsupportedSizeError(
-            f"witness search is guarded to k <= 2 and k*D <= 16; got k={k}, D={den}")
-    units = x.units(den)
-    family = _family_indices(economy, effective_coalitions(k))
-    plan = _Coalitions(economy, family)
-    rank = plan.tables.rank
-    ranks = tuple(rank[u] for u in units)
-
-    # singletons: walking away to the endowment
-    e = plan.endow_rank
-    for j in plan.singles:
-        if e > ranks[j - 1]:
-            endow = economy.endowment(((1, j) if j <= k else (2, j - k)))
-            return _certify(economy, x, (j,), (endow,))
-
-    found = _heuristic_witness(economy, x, plan, ranks)
-    if found is None:
-        found = _search_witness(plan, units, ranks)
-    if found is None:
+    plan = _plan(economy)
+    ranks = tuple(plan.tables.rank[u] for u in x.units(plan.den))
+    idxs = plan.blocked(ranks)
+    if idxs is None:
         return None
-    idxs, bundles = found
-    return _certify(economy, x, idxs, bundles)
+    # a singleton walks away to its endowment; otherwise the closed-form
+    # bundles, when they block, are shown in place of the staircase split
+    found = None if len(idxs) == 1 else _heuristic_witness(economy, x, plan, ranks)
+    if found is None:
+        found = idxs, tuple(_frac(u, plan.den) for u in plan.bundles(idxs, ranks))
+    return _certify(economy, x, *found)
 
 
 def _heuristic_witness(economy: ReplicaEconomy, x: Allocation,
                        plan: _Coalitions, ranks):
-    """Closed-form blocking bundles that often work; validated before use."""
+    """Closed-form blocking bundles that often work; validated before use.
+
+    They only choose which witness is shown: whether x is blocked at all
+    is the staircase's decision (`_Coalitions.blocked`).
+    """
     k = economy.k
     if k < 2:
         return None
@@ -780,75 +819,6 @@ def _valid_block(economy: ReplicaEconomy, x: Allocation, idxs, y_members) -> boo
         return False
 
 
-def _search_witness(plan: _Coalitions, units, ranks):
-    """Brute grid search over the same dominator space the core sweep uses."""
-    t = plan.tables
-    rank = t.rank
-    den = plan.den
-    for idxs in plan.larger:
-        targets = tuple(ranks[j - 1] for j in idxs)
-        r1, r2 = plan.resource(idxs)
-        hit = None
-        if len(idxs) == 2:
-            hit = _split_two(rank, (r1, r2), targets, need_strict=True)
-        elif len(idxs) == 3:
-            ta, tb, tc = targets
-            for m1 in range(r1 + 1):
-                for m2 in range(r2 + 1):
-                    ra = rank[(m1, m2)]
-                    if ra < ta:
-                        continue
-                    rest = (r1 - m1, r2 - m2)
-                    sub = _split_two(rank, rest, (tb, tc),
-                                     need_strict=ra == ta)
-                    if sub is not None:
-                        hit = ((m1, m2),) + sub
-                        break
-                if hit:
-                    break
-        elif len(idxs) == 4:
-            ta, tb, tc, td = targets
-            for a1 in range(r1 + 1):
-                for a2 in range(r2 + 1):
-                    res_a = (a1, a2)
-                    res_b = (r1 - a1, r2 - a2)
-                    front = _split_two(rank, res_a, (ta, tb), need_strict=True)
-                    if front is not None:
-                        back = _split_two(rank, res_b, (tc, td), need_strict=False)
-                        if back is not None:
-                            hit = front + back
-                            break
-                    front = _split_two(rank, res_a, (ta, tb), need_strict=False)
-                    if front is not None:
-                        back = _split_two(rank, res_b, (tc, td), need_strict=True)
-                        if back is not None:
-                            hit = front + back
-                            break
-                if hit:
-                    break
-        if hit is not None:
-            return idxs, tuple(_frac(u, den) for u in hit)
-    return None
-
-
-def _split_two(rank, res, targets, need_strict: bool):
-    """A two-bundle split of res meeting the rank targets, if any."""
-    r1, r2 = res
-    ta, tb = targets
-    for m1 in range(r1 + 1):
-        for m2 in range(r2 + 1):
-            ra = rank[(m1, m2)]
-            if ra < ta:
-                continue
-            rb = rank[(r1 - m1, r2 - m2)]
-            if rb < tb:
-                continue
-            if need_strict and ra == ta and rb == tb:
-                continue
-            return ((m1, m2), (r1 - m1, r2 - m2))
-    return None
-
-
 def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
              member_bundles: tuple):
     """Build the rejection atom and re-check its derivation with the kernel."""
@@ -871,32 +841,9 @@ def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
         raise VerificationFailure("blocking candidate has no strict gainer")
 
     ach = Ach(y_vec, tag)
-    geq = Geq(y_vec, tag, tag, x_vec, grand)
-    strict = strict_gain(y_vec, tag, sigma_idx, x_vec, grand)
-    witness = And((ach, geq, strict))
-
-    prefix = (sigma_idx,)
-    gamma = FormulaSet.of((ach,))
-    la = ProofTree(ThoughtSequent(prefix, FormulaSet.of((ach,)),
-                                  FormulaSet.of((ach,))), Rule.LogicalAxiom)
-    nla_geq = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                       FormulaSet.of((geq,))), Rule.NonLogicalAxiom)
-    nla_gi = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                      FormulaSet.of((strict.members[0],))),
-                       Rule.NonLogicalAxiom)
-    nla_ngi = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                       FormulaSet.of((strict.members[1],))),
-                        Rule.NonLogicalAxiom)
-    andr_strict = ProofTree(ThoughtSequent(prefix, EMPTY_SET,
-                                           FormulaSet.of((strict,))),
-                            Rule.AndRight, (nla_gi, nla_ngi),
-                            RuleMeta(principal=strict))
-    proved = {ach: la, geq: nla_geq, strict: andr_strict}
-    th = tuple(ProofTree(ThoughtSequent(prefix, gamma, FormulaSet.of((f,))),
-                         Rule.Th, (proved[f],))
-               for f in witness.members)
-    root = ProofTree(ThoughtSequent(prefix, gamma, FormulaSet.of((witness,))),
-                     Rule.AndRight, th, RuleMeta(principal=witness))
+    witness = And((ach, Geq(y_vec, tag, tag, x_vec, grand),
+                   strict_gain(y_vec, tag, sigma_idx, x_vec, grand)))
+    root = witness_derivation((sigma_idx,), FormulaSet.of((ach,)), witness)
     res = check_proof(root, UTILITY_ORACLE)
     if not res.ok:
         raise VerificationFailure(
@@ -905,20 +852,3 @@ def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
     k = economy.k
     sigma = (1, sigma_idx) if sigma_idx <= k else (2, sigma_idx - k)
     return sigma, frozenset({ach})
-
-
-# ---------------------------------------------------------------------------
-# conceptual bridge to coalition games
-
-
-def derived_game(economy) -> str:
-    """The worth formula an economy would induce on coalitions, as text.
-
-    Nothing is computed: the economy modules reason about bundle profiles
-    directly, and this note only records the bridge for reports.  Accepts
-    a base economy or a replica of one.
-    """
-    base = economy.base if isinstance(economy, ReplicaEconomy) else economy
-    return ("v(S) = max { sum_(i in S) u_i(x_i) : "
-            "sum_(i in S) x_i = sum_(i in S) e_i }  "
-            f"(utility {base.utility}, exponent {base.rho}; not computed)")

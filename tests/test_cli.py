@@ -362,8 +362,3 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
-
-
-def test_jobs_flag_is_accepted(g2_path, capsys):
-    assert main(["core", g2_path, "--jobs", "4"]) == 0
-    capsys.readouterr()

@@ -404,6 +404,46 @@ def test_witness_is_none_exactly_on_the_core():
     assert hits == len(core)
 
 
+def test_staircase_splits_are_dominating_profiles():
+    # every coalition of the effective family that the rank staircase
+    # reports as blocking must hand back member bundles that econ_dominates
+    # confirms, whether or not it is the first coalition to block; a check
+    # reads only the members' bundles, so each distinct one runs once
+    from epicore.replica import _plan
+    blocking = set()
+    peeled = set()
+    checked = set()
+    for k, dens in ((1, range(1, 9)), (2, range(1, 4))):
+        for den in dens:
+            e = econ(den, k)
+            plan = _plan(e)
+            for x in _grid_allocations(k, den):
+                units = x.units(den)
+                ranks = tuple(plan.tables.rank[u] for u in units)
+                first = None
+                for idxs in plan.family:
+                    bundles = plan.bundles(idxs, ranks)
+                    if bundles is None:
+                        continue
+                    if first is None:
+                        first = idxs
+                    blocking.add(idxs)
+                    if len(idxs) == 3:
+                        peeled.add(plan._blocked_by(idxs, ranks)[0])
+                    key = (den, idxs, bundles, tuple(units[j - 1] for j in idxs))
+                    if key in checked:
+                        continue
+                    checked.add(key)
+                    y = [(0, 0)] * (2 * k)
+                    for j, (m1, m2) in zip(idxs, bundles):
+                        y[j - 1] = (F(m1, den), F(m2, den))
+                    assert econ_dominates(e, Allocation(y), x, idxs), (x, idxs)
+                assert plan.blocked(ranks) == first
+    # (1, 2, 3) peels its one type-2 member, the last of the three
+    assert peeled == {0, 2}
+    assert blocking == set(_plan(econ(3, 2)).family) | {(1,), (2,), (1, 2)}
+
+
 def test_witness_atoms_certify_a_checked_proof():
     # the witness construction runs the kernel check internally; a returned
     # witness therefore always carries a verifiable block, re-verified here
@@ -460,13 +500,3 @@ def test_unequal_treatment_is_always_dominated(a1, a2, b1, b2, c1, c2):
     y[e.participant_index(pair[0]) - 1] = mid1
     y[e.participant_index(pair[1]) - 1] = mid2
     assert econ_dominates(e, Allocation(tuple(y)), x, pair)
-
-
-# ---------------------------------------------------------------------------
-# textual derived game
-
-
-def test_derived_game_is_descriptive_only():
-    from epicore.replica import derived_game
-    text = derived_game(econ(8, 2))
-    assert "max" in text and "not computed" in text
