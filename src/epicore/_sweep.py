@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .acceptability import _atom_space, _Emitter, _purge_spaces, decide
 from .errors import VerificationFailure
-from .games import Coalition, PayoffVector, TUGame, all_coalitions
+from .games import PayoffVector, TUGame, all_coalitions
 from .logic import GRID_ORACLE, ChainCache, Not, check_proof
 
 

@@ -96,9 +96,6 @@ class KnowledgeProfile:
     def family(self, i: int) -> tuple[Coalition, ...]:
         return self.families[i - 1]
 
-    def union(self) -> frozenset[Coalition]:
-        return frozenset(s for f in self.families for s in f)
-
     def effective(self, n: int) -> frozenset[Coalition]:
         """Coalitions known by at least one of their own members; only these
         can ever block a proposal."""
@@ -347,9 +344,7 @@ class Verdict:
     at the grid boundary); case "2.1": alternatives exist but every one is
     negated in the knowledge set; case "2.2": a known feasible dominating
     alternative exists: unacceptable, with the blocking coalition and
-    vector.  The tag "2.2-empty-d" is reserved for the subcase where the
-    known comparable atoms all fail the strict test; under the canonical
-    witness construction it coincides with "2.1" and is never emitted.
+    vector.
     """
 
     acceptable: bool

@@ -17,7 +17,7 @@ Everything is exact; no floating point anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -29,7 +29,6 @@ from .games import (
     PayoffVector,
     TUGame,
     all_coalitions,
-    core_membership,
     enumerate_integer_core,
 )
 
@@ -182,15 +181,6 @@ class BalancedFamily:
             if not 0 <= w <= 1:
                 raise InvalidInputError(f"weight {w} outside [0,1]")
 
-    def weight(self, coalition: Coalition) -> Fraction:
-        try:
-            return self.weights[self.family.index(coalition)]
-        except ValueError:
-            return Fraction(0)
-
-    def as_dict(self) -> dict[Coalition, Fraction]:
-        return dict(zip(self.family, self.weights))
-
 
 def _solve_full_rank(cols: list[tuple[int, ...]], n: int) -> Optional[tuple[Fraction, ...]]:
     """Solve sum_j m[i][j] * x[j] = 1 (i = 1..n) for a full-column-rank 0/1
@@ -289,49 +279,21 @@ def bondareva_shapley_nonempty(game: TUGame) -> bool:
 # balanced knowledge and core acceptance
 
 
-def _assignments(family: tuple[Coalition, ...], exhaustive: bool):
-    """Ways to hand each coalition to one of its members; the default mode
-    uses the lowest-indexed member only."""
-    if not exhaustive:
-        yield tuple(s.members[0] for s in family)
-        return
-    for owners in itertools.product(*(s.members for s in family)):
-        yield owners
-
-
-def prop51_report(game: TUGame, exhaustive_assignments: bool = False):
-    """(hypothesis, core_nonempty, failing families).
+def prop51_check(game: TUGame) -> bool:
+    """True iff the balanced-knowledge hypothesis implies a nonempty core on
+    this game, as it always should.
 
     The hypothesis: every minimal balanced family, once each coalition is
-    assigned to a member who tracks it, leaves some integer proposal with
-    sum at most v(N) unanimously acceptable.
+    assigned to its lowest-indexed member, who tracks it, leaves some
+    integer proposal with sum at most v(N) unanimously acceptable.
     """
     if game.n > 4:
         raise UnsupportedSizeError(
             f"balanced-knowledge check supports up to 4 players, got {game.n}")
-    if exhaustive_assignments and game.n > 3:
-        raise UnsupportedSizeError(
-            "exhaustive assignment mode supports up to 3 players")
-    failing = []
     for b in minimal_balanced_families(game.n):
-        ok = False
-        for owners in _assignments(b.family, exhaustive_assignments):
-            fams: dict = {}
-            for owner, s in zip(owners, b.family):
-                fams.setdefault(owner, []).append(s)
-            profile = KnowledgeProfile.of(game.n, fams)
-            if unanimous_acceptance_set(game, profile):
-                ok = True
-                break
-        if not ok:
-            failing.append(b)
-    hypothesis = not failing
-    return hypothesis, bondareva_shapley_nonempty(game), tuple(failing)
-
-
-def prop51_check(game: TUGame, exhaustive_assignments: bool = False) -> bool:
-    """True iff the balanced-knowledge hypothesis implying a nonempty core
-    holds on this game (it always should; the interesting output is the
-    report, which separates hypothesis status from core status)."""
-    hypothesis, nonempty, _ = prop51_report(game, exhaustive_assignments)
-    return (not hypothesis) or nonempty
+        fams: dict = {}
+        for s in b.family:
+            fams.setdefault(s.members[0], []).append(s)
+        if not unanimous_acceptance_set(game, KnowledgeProfile.of(game.n, fams)):
+            return True
+    return bondareva_shapley_nonempty(game)

@@ -55,13 +55,8 @@ from .replica import (
 
 
 def _parse_vector(text: str) -> PayoffVector:
-    try:
-        parts = [p for p in text.split(",") if p.strip()]
-        return PayoffVector(tuple(rational_from_str(p) for p in parts))
-    except InvalidInputError:
-        raise
-    except Exception:
-        raise InvalidInputError(f"bad payoff vector: {text!r}") from None
+    parts = [p for p in text.split(",") if p.strip()]
+    return PayoffVector(tuple(rational_from_str(p) for p in parts))
 
 
 def _vector_text(x: PayoffVector) -> str:

@@ -50,7 +50,7 @@ class Coalition:
         """Parse the file format: comma-separated 1-based ids, e.g. "1,3"."""
         try:
             ids = tuple(int(p) for p in text.split(","))
-        except ValueError:
+        except (ValueError, AttributeError):
             raise InvalidInputError(f"bad coalition key: {text!r}") from None
         if len(set(ids)) != len(ids):
             raise InvalidInputError(f"duplicate player in coalition key: {text!r}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import InvalidInputError
-from .games import Coalition, PayoffVector, TUGame
+from .games import Coalition, TUGame
 from .replica import Allocation, EdgeworthEconomy, ReplicaEconomy
 from .logic import (
     Ach,
@@ -139,17 +139,6 @@ def allocation_to_obj(x: Allocation) -> list:
     return [[rational_to_str(c) for c in bundle] for bundle in x.bundles]
 
 
-def allocation_from_obj(obj: Any) -> Allocation:
-    if not isinstance(obj, list) or not obj:
-        raise InvalidInputError("allocation must be a nonempty array of bundles")
-    bundles = []
-    for b in obj:
-        if not isinstance(b, list) or len(b) != 2:
-            raise InvalidInputError(f"bundle must be a pair of rationals, got {b!r}")
-        bundles.append(tuple(rational_from_str(c) for c in b))
-    return Allocation(bundles)
-
-
 # ---------------------------------------------------------------------------
 # vectors
 #
@@ -184,16 +173,6 @@ def payload_from_obj(obj: Any) -> tuple:
     return tuple(units)
 
 
-def payoff_vector_to_obj(x: PayoffVector) -> list:
-    return [rational_to_str(e) for e in x.entries]
-
-
-def payoff_vector_from_obj(obj: Any) -> PayoffVector:
-    if not isinstance(obj, list) or not obj:
-        raise InvalidInputError("payoff vector must be a nonempty array")
-    return PayoffVector(tuple(rational_from_str(s) for s in obj))
-
-
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -224,23 +203,42 @@ def formula_from_obj(obj: Any) -> Formula:
     if not isinstance(obj, dict) or "t" not in obj:
         raise InvalidInputError("formula must be a tagged object")
     t = obj["t"]
-    if t == "ach":
-        return Ach(payload_from_obj(obj["vector"]), Coalition.parse(obj["coalition"]))
-    if t == "geq":
-        return Geq(payload_from_obj(obj["left"]), Coalition.parse(obj["left_tag"]),
-                   Coalition.parse(obj["over"]),
-                   payload_from_obj(obj["right"]), Coalition.parse(obj["right_tag"]))
-    if t == "not":
-        return Not(formula_from_obj(obj["child"]))
-    if t == "and":
-        return And([formula_from_obj(m) for m in obj["members"]])
-    if t == "or":
-        return Or([formula_from_obj(m) for m in obj["members"]])
-    if t == "implies":
-        return Implies(formula_from_obj(obj["lhs"]), formula_from_obj(obj["rhs"]))
-    if t == "bel":
-        return Bel(obj["agent"], formula_from_obj(obj["child"]))
+    try:
+        if t == "ach":
+            return Ach(payload_from_obj(obj["vector"]), Coalition.parse(obj["coalition"]))
+        if t == "geq":
+            left = payload_from_obj(obj["left"])
+            right = payload_from_obj(obj["right"])
+            if len(left) != len(right) or type(left[0]) is not type(right[0]):
+                raise InvalidInputError("geq compares payloads of different shapes")
+            # the kernel reads both payloads at every member of `over`
+            over = Coalition.parse(obj["over"])
+            if over.members[-1] > len(left):
+                raise InvalidInputError(f"coalition {over} exceeds the payload length")
+            return Geq(left, Coalition.parse(obj["left_tag"]), over,
+                       right, Coalition.parse(obj["right_tag"]))
+        if t == "not":
+            return Not(formula_from_obj(obj["child"]))
+        if t == "and":
+            return And([formula_from_obj(m) for m in _array(obj, "members")])
+        if t == "or":
+            return Or([formula_from_obj(m) for m in _array(obj, "members")])
+        if t == "implies":
+            return Implies(formula_from_obj(obj["lhs"]), formula_from_obj(obj["rhs"]))
+        if t == "bel":
+            if not isinstance(obj["agent"], int):
+                raise InvalidInputError("bel agent must be an integer")
+            return Bel(obj["agent"], formula_from_obj(obj["child"]))
+    except KeyError as e:
+        raise InvalidInputError(f"{t!r} formula needs field {e.args[0]!r}") from None
     raise InvalidInputError(f"unknown formula tag: {t!r}")
+
+
+def _array(obj: dict, name: str) -> list:
+    value = obj.get(name, [])
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{name!r} must be an array")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +257,9 @@ def sequent_from_obj(obj: Any) -> ThoughtSequent:
     if not isinstance(obj, dict):
         raise InvalidInputError("sequent must be an object")
     return ThoughtSequent(
-        tuple(obj.get("prefix", ())),
-        FormulaSet.of(formula_from_obj(f) for f in obj.get("ante", ())),
-        FormulaSet.of(formula_from_obj(f) for f in obj.get("succ", ())))
+        tuple(_array(obj, "prefix")),
+        FormulaSet.of(formula_from_obj(f) for f in _array(obj, "ante")),
+        FormulaSet.of(formula_from_obj(f) for f in _array(obj, "succ")))
 
 
 def _meta_to_obj(meta: RuleMeta) -> dict:
@@ -278,6 +276,8 @@ def _meta_to_obj(meta: RuleMeta) -> dict:
 
 
 def _meta_from_obj(obj: Any) -> RuleMeta:
+    if not isinstance(obj, dict):
+        raise InvalidInputError("proof meta must be an object")
     return RuleMeta(
         principal=formula_from_obj(obj["principal"]) if "principal" in obj else None,
         member=formula_from_obj(obj["member"]) if "member" in obj else None,
@@ -303,7 +303,7 @@ def proof_from_obj(obj: Any) -> ProofTree:
     except ValueError:
         raise InvalidInputError(f"unknown rule tag: {obj['rule']!r}") from None
     meta = _meta_from_obj(obj["meta"]) if "meta" in obj else None
-    children = tuple(proof_from_obj(c) for c in obj.get("children", ()))
+    children = tuple(proof_from_obj(c) for c in _array(obj, "children"))
     return ProofTree(sequent_from_obj(obj["sequent"]), rule, children, meta)
 
 

@@ -7,8 +7,9 @@ plus two axiom forms:
 
   * logical axioms  B_e[A -> A]
   * non-logical axioms: comparison facts  B_e[-> y >= x over S]  and their
-    negations, decided by a pluggable ComparisonOracle (integer grid units
-    for payoff comparisons, exact utility comparison for economies).
+    negations, decided by a pluggable comparison oracle, a plain callable
+    (integer grid units for payoff comparisons, exact utility comparison
+    for economies).
 
 Formulas are immutable, hash-cached, and compared structurally.  Payoff
 vectors inside atoms are carried as tuples of integer grid units (the
@@ -28,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import is_
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import ge, is_
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInputError
 from .games import Coalition
@@ -47,9 +48,6 @@ class Formula:
 
     def __eq__(self, other):  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class Ach(Formula):
@@ -313,25 +311,6 @@ def strict_gain(left, left_tag: Coalition, player: int, right, right_tag: Coalit
     ))
 
 
-def as_strict_gain(f: Formula) -> Optional[tuple]:
-    """Recognize the strict-comparison abbreviation; inverse of strict_gain.
-
-    Returns (left, left_tag, player, right, right_tag) or None.
-    """
-    if type(f) is not And or len(f.members) != 2:
-        return None
-    a, b = f.members
-    if type(a) is not Geq or type(b) is not Not or type(b.child) is not Geq:
-        return None
-    c = b.child
-    if len(a.over) != 1 or a.over != c.over:
-        return None
-    if a.left == c.right and a.left_tag == c.right_tag \
-            and a.right == c.left and a.right_tag == c.left_tag:
-        return (a.left, a.left_tag, a.over.members[0], a.right, a.right_tag)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # layered formula sets (sequent sides)
 
@@ -471,16 +450,6 @@ class ThoughtSequent:
         self.ante = ante if type(ante) is FormulaSet else FormulaSet.of(ante)
         self.succ = succ if type(succ) is FormulaSet else FormulaSet.of(succ)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ThoughtSequent):
-            return NotImplemented
-        return (self.prefix == other.prefix and self.ante == other.ante
-                and self.succ == other.succ)
-
-    __hash__ = None
-
     def __repr__(self):
         return f"B{list(self.prefix)}[{self.ante!r} -> {self.succ!r}]"
 
@@ -525,16 +494,6 @@ class RuleMeta:
         self.cut = cut
         self.agent = agent
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, RuleMeta):
-            return NotImplemented
-        return (self.principal == other.principal and self.member == other.member
-                and self.cut == other.cut and self.agent == other.agent)
-
-    __hash__ = None
-
     def __repr__(self):
         parts = [f"{k}={getattr(self, k)!r}" for k in self.__slots__
                  if getattr(self, k) is not None]
@@ -550,16 +509,6 @@ class ProofTree:
         self.rule = rule
         self.children = children
         self.meta = meta
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ProofTree):
-            return NotImplemented
-        return (self.rule == other.rule and self.sequent == other.sequent
-                and self.children == other.children)
-
-    __hash__ = None
 
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children)
@@ -599,28 +548,16 @@ def witness_derivation(prefix: Sequence[int], gamma: FormulaSet, witness: And) -
 # axioms
 
 
-class ComparisonOracle:
-    """Decides the primitive per-player comparison between payload values."""
-
-    def geq(self, left_value, right_value) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class GridOracle(ComparisonOracle):
-    """Payoff payloads are integer grid units; comparison is plain order."""
-
-    def geq(self, left_value, right_value) -> bool:
-        return left_value >= right_value
+# an oracle decides the per-player comparison of two payload values;
+# payoff payloads are integer grid units, compared in plain order
+Oracle = Callable[[Any, Any], bool]
+GRID_ORACLE: Oracle = ge
 
 
-GRID_ORACLE = GridOracle()
-
-
-def _geq_holds(f: Geq, oracle: ComparisonOracle) -> bool:
+def _geq_holds(f: Geq, oracle: Oracle) -> bool:
     left, right = f.left, f.right
-    geq = oracle.geq
     for p in f.over.members:
-        if not geq(left[p - 1], right[p - 1]):
+        if not oracle(left[p - 1], right[p - 1]):
             return False
     return True
 
@@ -630,7 +567,7 @@ def is_logical_axiom(seq: ThoughtSequent) -> bool:
     return len(seq.ante) == 1 and seq.ante == seq.succ
 
 
-def is_nonlogical_axiom(seq: ThoughtSequent, oracle: ComparisonOracle) -> bool:
+def is_nonlogical_axiom(seq: ThoughtSequent, oracle: Oracle) -> bool:
     """Comparison facts with empty antecedent and a singleton succedent.
 
     B_e[-> left >= right over S]      iff the oracle confirms every member;
@@ -934,24 +871,19 @@ def _check_epistemic(concl, prems, meta):
     return None
 
 
-_ARITY = {
-    Rule.Th: 1, Rule.Cut: 2, Rule.NotLeft: 1, Rule.NotRight: 1,
-    Rule.ImpLeft: 2, Rule.ImpRight: 1, Rule.AndLeft: 1, Rule.OrRight: 1,
-    Rule.EpistemicDist: 1,
-}
-
-_CHECKERS = {
-    Rule.Th: _check_th,
-    Rule.Cut: _check_cut,
-    Rule.NotLeft: _check_not_left,
-    Rule.NotRight: _check_not_right,
-    Rule.ImpLeft: _check_imp_left,
-    Rule.ImpRight: _check_imp_right,
-    Rule.AndLeft: _check_and_left,
-    Rule.AndRight: _check_and_right,
-    Rule.OrLeft: _check_or_left,
-    Rule.OrRight: _check_or_right,
-    Rule.EpistemicDist: _check_epistemic,
+# rule -> (checker, arity); arity None means "one per member", at least one
+_RULES = {
+    Rule.Th: (_check_th, 1),
+    Rule.Cut: (_check_cut, 2),
+    Rule.NotLeft: (_check_not_left, 1),
+    Rule.NotRight: (_check_not_right, 1),
+    Rule.ImpLeft: (_check_imp_left, 2),
+    Rule.ImpRight: (_check_imp_right, 1),
+    Rule.AndLeft: (_check_and_left, 1),
+    Rule.AndRight: (_check_and_right, None),
+    Rule.OrLeft: (_check_or_left, None),
+    Rule.OrRight: (_check_or_right, 1),
+    Rule.EpistemicDist: (_check_epistemic, 1),
 }
 
 
@@ -961,12 +893,8 @@ def rule_instance_valid(conclusion: ThoughtSequent, premises: Sequence[ThoughtSe
     return _rule_failure(conclusion, tuple(premises), rule, meta) is None
 
 
-# rule -> (checker, arity); arity None means "one per member", at least one
-_RULE_TABLE = {rule: (_CHECKERS[rule], _ARITY.get(rule)) for rule in _CHECKERS}
-
-
 def _rule_failure(conclusion, premises, rule, meta) -> Optional[str]:
-    entry = _RULE_TABLE.get(rule)
+    entry = _RULES.get(rule)
     if entry is None:
         return f"{rule.value} is not an inference rule"
     checker, want = entry
@@ -1025,7 +953,7 @@ _OK = CheckResult(True)
 _AXIOMS = frozenset((Rule.LogicalAxiom, Rule.NonLogicalAxiom))
 
 
-def check_proof(tree: ProofTree, oracle: ComparisonOracle,
+def check_proof(tree: ProofTree, oracle: Oracle,
                 cache: Optional[dict] = None) -> CheckResult:
     """Validate every node of a proof tree.
 

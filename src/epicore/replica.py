@@ -33,7 +33,6 @@ from .games import Coalition
 from .logic import (
     Ach,
     And,
-    ComparisonOracle,
     FormulaSet,
     Geq,
     check_proof,
@@ -107,14 +106,12 @@ def _as_bundle(raw) -> Bundle:
     return pair
 
 
-class UtilityOracle(ComparisonOracle):
-    """Compares payoff-vector entries that are commodity bundles by utility."""
-
-    def geq(self, left_value, right_value) -> bool:
-        return utility_compare("ces", left_value, right_value) >= 0
+def _utility_geq(left_value, right_value) -> bool:
+    # payoff-vector entries that are commodity bundles, compared by utility
+    return utility_compare("ces", left_value, right_value) >= 0
 
 
-UTILITY_ORACLE = UtilityOracle()
+UTILITY_ORACLE = _utility_geq
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +635,12 @@ def _plan(economy: ReplicaEconomy, coalitions: Optional[Iterable] = None) -> _Co
     return _Coalitions(economy, _family_indices(economy, coalitions))
 
 
+@lru_cache(maxsize=8)
+def _witness_plan(economy: ReplicaEconomy) -> _Coalitions:
+    # witnesses always query the effective family, so one plan serves them all
+    return _plan(economy)
+
+
 # ---------------------------------------------------------------------------
 # grid core
 
@@ -740,83 +743,14 @@ def partial_knowledge_witness(economy: ReplicaEconomy, x: Allocation):
     _check_allocation(economy, x, "x")
     if not _feasible_total(economy, x):
         raise InvalidInputError("x must redistribute the total endowment exactly")
-    plan = _plan(economy)
+    plan = _witness_plan(economy)
     ranks = tuple(plan.tables.rank[u] for u in x.units(plan.den))
     idxs = plan.blocked(ranks)
     if idxs is None:
         return None
-    # a singleton walks away to its endowment; otherwise the closed-form
-    # bundles, when they block, are shown in place of the staircase split
-    found = None if len(idxs) == 1 else _heuristic_witness(economy, x, plan, ranks)
-    if found is None:
-        found = idxs, tuple(_frac(u, plan.den) for u in plan.bundles(idxs, ranks))
-    return _certify(economy, x, *found)
-
-
-def _heuristic_witness(economy: ReplicaEconomy, x: Allocation,
-                       plan: _Coalitions, ranks):
-    """Closed-form blocking bundles that often work; validated before use.
-
-    They only choose which witness is shown: whether x is blocked at all
-    is the staircase's decision (`_Coalitions.blocked`).
-    """
-    k = economy.k
-    if k < 2:
-        return None
-    half = Fraction(1, 2)
-    den = plan.den
-    xb = x.bundles
-    # unequal copies of a type: the worst-off copies of each type pool
-    # their endowments and split the type averages
-    lo1 = min(range(1, k + 1), key=lambda j: ranks[j - 1])
-    lo2 = min(range(k + 1, 2 * k + 1), key=lambda j: ranks[j - 1])
-    mid1 = _avg([xb[j - 1] for j in range(1, k + 1)])
-    mid2 = _avg([xb[j - 1] for j in range(k + 1, 2 * k + 1)])
-    if _on_grid(mid1, den) and _on_grid(mid2, den):
-        idxs = (lo1, lo2)
-        y = (mid1, mid2)
-        if _valid_block(economy, x, idxs, y):
-            return idxs, y
-    # near-balanced coalitions: both copies of one type move halfway
-    # toward their endowment, financed by one copy of the other type
-    if k == 2:
-        for i, j_other in ((1, 3), (2, 1)):
-            lo_i = (i - 1) * k + 1
-            a, b = xb[lo_i - 1], xb[lo_i]
-            if a != b:
-                continue
-            h = tuple(half * e_c + half * a_c
-                      for e_c, a_c in zip(economy.base.endowment(i), a))
-            if not _on_grid(h, den):
-                continue
-            idxs = tuple(sorted((lo_i, lo_i + 1, j_other)))
-            y = tuple(h if j in (lo_i, lo_i + 1) else xb[j_other - 1] for j in idxs)
-            if _valid_block(economy, x, idxs, y):
-                return idxs, y
-    return None
-
-
-def _avg(bundles):
-    n = len(bundles)
-    return (sum(b[0] for b in bundles) / n, sum(b[1] for b in bundles) / n)
-
-
-def _on_grid(bundle, den: int) -> bool:
-    return (bundle[0] * den).denominator == 1 and (bundle[1] * den).denominator == 1
-
-
-def _valid_block(economy: ReplicaEconomy, x: Allocation, idxs, y_members) -> bool:
-    """Feasibility plus weak/strict domination, via the reference check."""
-    k = economy.k
-    zero = (Fraction(0), Fraction(0))
-    full = [zero] * (2 * k)
-    for pos, j in enumerate(idxs):
-        full[j - 1] = y_members[pos]
-    members = [(1, j) if j <= k else (2, j - k) for j in idxs]
-    try:
-        return econ_dominates(economy, Allocation(full), x, members)
-    except InvalidInputError:
-        return False
+    # a singleton's decoded bundle is its endowment
+    return _certify(economy, x, idxs,
+                    tuple(_frac(u, plan.den) for u in plan.bundles(idxs, ranks)))
 
 
 def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],

@@ -207,6 +207,36 @@ def test_check_rejects_corrupted_payload(min_path, tmp_path, capsys):
     assert "rejected at" in capsys.readouterr().err
 
 
+def _geq_obj(left, right, over="1"):
+    return {"t": "geq", "left": left, "left_tag": "1,2", "over": over,
+            "right": right, "right_tag": "1,2"}
+
+
+def _axiom_obj(formula, meta=None):
+    node = {"sequent": {"prefix": [], "ante": [], "succ": [formula]},
+            "rule": "NonLogicalAxiom", "children": []}
+    if meta is not None:
+        node["meta"] = meta
+    return node
+
+
+@pytest.mark.parametrize("node", [
+    _axiom_obj({"t": "ach", "coalition": "1"}),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"], over="5")),
+    _axiom_obj(_geq_obj(["1", "0"], ["0"], over="2")),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), meta=[]),
+], ids=["ach-without-vector", "over-beyond-payload", "payload-lengths-differ",
+        "meta-is-a-list"])
+def test_check_rejects_malformed_formula_objects(node, tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    dump_json(node, path)
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_check_unknown_oracle_is_a_usage_error(min_path, tmp_path, capsys):
     assert main(["check", str(tmp_path / "x.json"), "--oracle", "votes"]) == 1
     capsys.readouterr()

@@ -19,7 +19,6 @@ from epicore import (
     emit_proof,
 )
 from epicore.jsonio import (
-    allocation_from_obj,
     allocation_to_obj,
     dump_json,
     economy_from_obj,
@@ -33,8 +32,6 @@ from epicore.jsonio import (
     load_json,
     payload_from_obj,
     payload_to_obj,
-    payoff_vector_from_obj,
-    payoff_vector_to_obj,
     proof_from_obj,
     proof_to_obj,
     rational_from_str,
@@ -168,30 +165,11 @@ def test_load_economy(tmp_path):
 def test_allocation_round_trip():
     x = Allocation(((Fraction(1, 2), Fraction(1, 2)),
                     (Fraction(1, 2), Fraction(1, 2))))
-    assert allocation_from_obj(allocation_to_obj(x)) == x
     assert allocation_to_obj(x) == [["1/2", "1/2"], ["1/2", "1/2"]]
-
-
-@pytest.mark.parametrize("obj", [
-    [["1/2"]],
-    [["1/2", "1/2", "1/2"]],
-    ["1/2", "1/2"],
-    [["1/2", "-1/2"]],
-    {},
-])
-def test_allocation_from_obj_rejects_bad_shapes(obj):
-    with pytest.raises(InvalidInputError):
-        allocation_from_obj(obj)
 
 
 # ---------------------------------------------------------------------------
 # payoff vectors and payloads
-
-
-def test_payoff_vector_round_trip():
-    x = PayoffVector((Fraction(19, 2), Fraction(21)))
-    assert payoff_vector_from_obj(payoff_vector_to_obj(x)) == x
-    assert payoff_vector_to_obj(x) == ["19/2", "21"]
 
 
 def test_payload_units_round_trip():

@@ -29,12 +29,10 @@ from epicore.logic import (
     Rule,
     RuleMeta,
     ThoughtSequent,
-    as_strict_gain,
     check_proof,
     is_logical_axiom,
     is_nonlogical_axiom,
     rule_instance_valid,
-    strict_gain,
 )
 
 C1 = Coalition.of(1)
@@ -74,18 +72,6 @@ def test_connectives_reject_empty():
         Or([])
     with pytest.raises(InvalidInputError):
         Bel(0, P)
-
-
-def test_strict_gain_roundtrip():
-    f = strict_gain((4, 0), C1, 1, (3, 3), C12)
-    assert as_strict_gain(f) == ((4, 0), C1, 1, (3, 3), C12)
-    # a conjunction that is not the abbreviation is not recognized
-    assert as_strict_gain(And([P, Q])) is None
-    assert as_strict_gain(And([G_TRUE, Not(G_FALSE)])) is None
-    # mismatched comparison coalitions break the pattern
-    two_sided = And([Geq((4, 0), C1, C12, (3, 3), C12),
-                     Not(Geq((3, 3), C12, C12, (4, 0), C1))])
-    assert as_strict_gain(two_sided) is None
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +384,14 @@ def test_check_proof_rejects_dangling_rule():
     la = ProofTree(seq([P], [P]), Rule.LogicalAxiom)
     th = ProofTree(seq([Q], [P, Q]), Rule.Th, (la,))
     assert not check_proof(th, GRID_ORACLE)
+
+
+def test_check_proof_takes_a_plain_function_oracle():
+    ax = ProofTree(seq([], [G_TRUE]), Rule.NonLogicalAxiom)
+    assert check_proof(ax, GRID_ORACLE)
+    res = check_proof(ax, lambda left, right: False)
+    assert not res
+    assert "non-logical axiom" in res.reason
 
 
 def test_check_proof_cache_is_reusable():

@@ -82,8 +82,8 @@ def test_utility_compare_rejects_bad_input():
 
 
 def test_utility_oracle_wraps_comparison():
-    assert UTILITY_ORACLE.geq((F(1, 2), F(1, 2)), (F(1), F(0)))
-    assert not UTILITY_ORACLE.geq((F(1), F(0)), (F(1, 2), F(1, 2)))
+    assert UTILITY_ORACLE((F(1, 2), F(1, 2)), (F(1), F(0)))
+    assert not UTILITY_ORACLE((F(1), F(0)), (F(1, 2), F(1, 2)))
 
 
 GRID_BUNDLES = st.tuples(st.integers(0, 16), st.integers(0, 16))
@@ -349,7 +349,7 @@ def test_witness_for_the_classic_blocked_allocation():
     assert len(atoms) == 1
     atom = next(iter(atoms))
     assert isinstance(atom, Ach)
-    assert atom.vector == ((F(5, 8), F(1, 8)), (F(5, 8), F(1, 8)),
+    assert atom.vector == ((F(1, 2), F(1, 8)), (F(3, 4), F(1, 8)),
                            (F(3, 4), F(3, 4)), (F(0), F(0)))
     assert sorted(atom.coalition.members) == [1, 2, 3]
 
@@ -367,10 +367,10 @@ def test_witness_midpoint_path():
     x = alloc((F(3, 8), F(3, 8)), (F(5, 8), F(5, 8)),
               (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
     sigma, atoms = partial_knowledge_witness(econ(8, 2), x)
-    assert sigma == (1, 1)
+    assert sigma == (2, 1)
     atom = next(iter(atoms))
-    assert atom.vector == ((F(1, 2), F(1, 2)), (F(0), F(0)),
-                           (F(1, 2), F(1, 2)), (F(0), F(0)))
+    assert atom.vector == ((F(3, 8), F(3, 8)), (F(0), F(0)),
+                           (F(5, 8), F(5, 8)), (F(0), F(0)))
     assert sorted(atom.coalition.members) == [1, 3]
 
 
@@ -394,14 +394,31 @@ def _grid_allocations(k, den):
 
 
 def test_witness_is_none_exactly_on_the_core():
-    e = econ(2, 2)
-    core = grid_core(e)
-    hits = 0
-    for x in _grid_allocations(2, 2):
-        w = partial_knowledge_witness(e, x)
-        assert (w is None) == (x in core)
-        hits += w is None
-    assert hits == len(core)
+    # the witness names the staircase's first blocking coalition, its vector
+    # dominates x there, and sigma is a member who gains strictly
+    from epicore.replica import _plan
+    for k, dens in ((1, range(1, 9)), (2, range(1, 4))):
+        for den in dens:
+            e = econ(den, k)
+            plan = _plan(e)
+            core = grid_core(e)
+            hits = 0
+            for x in _grid_allocations(k, den):
+                w = partial_knowledge_witness(e, x)
+                assert (w is None) == (x in core)
+                if w is None:
+                    hits += 1
+                    continue
+                sigma, atoms = w
+                (atom,) = atoms
+                members = atom.coalition.members
+                ranks = tuple(plan.tables.rank[u] for u in x.units(den))
+                assert members == plan.blocked(ranks)
+                assert econ_dominates(e, Allocation(atom.vector), x, members)
+                j = e.participant_index(sigma)
+                assert j in members
+                assert utility_compare("ces", atom.vector[j - 1], x.bundles[j - 1]) > 0
+            assert hits == len(core)
 
 
 def test_staircase_splits_are_dominating_profiles():
