@@ -86,6 +86,11 @@ def game_from_obj(obj: Any) -> TUGame:
     bound = obj.get("bound")
     if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)):
         raise InvalidInputError("bound must be an integer")
+    # from_values enumerates all 2^n - 1 coalitions to name the first missing
+    # one; past 16 players count the worths first, without building 2^n
+    if n > 16 and (len(worth) + 1).bit_length() <= n:
+        raise InvalidInputError(
+            f"missing coalition values: {n} players need 2^{n} - 1, got {len(worth)}")
     return TUGame.from_values(n, worth, bound=bound)
 
 
@@ -226,12 +231,16 @@ def formula_from_obj(obj: Any) -> Formula:
         if t == "implies":
             return Implies(formula_from_obj(obj["lhs"]), formula_from_obj(obj["rhs"]))
         if t == "bel":
-            if not isinstance(obj["agent"], int):
-                raise InvalidInputError("bel agent must be an integer")
-            return Bel(obj["agent"], formula_from_obj(obj["child"]))
+            return Bel(_agent(obj["agent"]), formula_from_obj(obj["child"]))
     except KeyError as e:
         raise InvalidInputError(f"{t!r} formula needs field {e.args[0]!r}") from None
     raise InvalidInputError(f"unknown formula tag: {t!r}")
+
+
+def _agent(value: Any) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidInputError(f"agent ids are positive integers, got {value!r}")
+    return value
 
 
 def _array(obj: dict, name: str) -> list:
@@ -257,7 +266,7 @@ def sequent_from_obj(obj: Any) -> ThoughtSequent:
     if not isinstance(obj, dict):
         raise InvalidInputError("sequent must be an object")
     return ThoughtSequent(
-        tuple(_array(obj, "prefix")),
+        tuple(map(_agent, _array(obj, "prefix"))),
         FormulaSet.of(formula_from_obj(f) for f in _array(obj, "ante")),
         FormulaSet.of(formula_from_obj(f) for f in _array(obj, "succ")))
 
@@ -282,7 +291,7 @@ def _meta_from_obj(obj: Any) -> RuleMeta:
         principal=formula_from_obj(obj["principal"]) if "principal" in obj else None,
         member=formula_from_obj(obj["member"]) if "member" in obj else None,
         cut=formula_from_obj(obj["cut"]) if "cut" in obj else None,
-        agent=obj.get("agent"))
+        agent=_agent(obj["agent"]) if "agent" in obj else None)
 
 
 def proof_to_obj(tree: ProofTree) -> dict:

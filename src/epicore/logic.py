@@ -41,12 +41,8 @@ from .games import Coalition
 
 class Formula:
     __slots__ = ("_hash",)
-    rank = -1
 
     def key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):  # pragma: no cover - overridden
         raise NotImplementedError
 
 
@@ -59,8 +55,6 @@ class Ach(Formula):
         self.vector = tuple(vector)
         self.coalition = coalition
         self._hash = None
-
-    rank = 0
 
     def key(self):
         return (0, self.coalition.canonical_key, self.vector)
@@ -100,8 +94,6 @@ class Geq(Formula):
         self.right_tag = right_tag
         self._hash = None
 
-    rank = 1
-
     def key(self):
         return (1, self.left_tag.canonical_key, self.left, self.over.canonical_key,
                 self.right_tag.canonical_key, self.right)
@@ -131,8 +123,6 @@ class Not(Formula):
     def __init__(self, child: Formula):
         self.child = child
         self._hash = None
-
-    rank = 2
 
     def key(self):
         return (2, self.child.key())
@@ -164,19 +154,19 @@ def _canonical_members(members: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-class And(Formula):
-    """Finite conjunction over a set of formulas (members stored sorted, deduped)."""
+class _Junction(Formula):
+    """Finite conjunction or disjunction over a set of formulas (members
+    stored sorted, deduped); the subclass's `tag` tells which."""
 
     __slots__ = ("members",)
+    tag: int
 
     def __init__(self, members: Iterable[Formula]):
         self.members = _canonical_members(members)
         self._hash = None
 
-    rank = 3
-
     @classmethod
-    def _presorted(cls, members: tuple[Formula, ...]) -> "And":
+    def _presorted(cls, members: tuple[Formula, ...]):
         # trusted constructor: members already canonical
         self = cls.__new__(cls)
         self.members = members
@@ -184,57 +174,31 @@ class And(Formula):
         return self
 
     def key(self):
-        return (3, tuple(m.key() for m in self.members))
+        return (self.tag, tuple(m.key() for m in self.members))
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((3, self.members))
+            h = self._hash = hash((self.tag, self.members))
         return h
 
     def __eq__(self, other):
         if self is other:
             return True
-        return type(other) is And and self.members == other.members
+        return type(other) is type(self) and self.members == other.members
 
     def __repr__(self):
-        return f"And({list(self.members)!r})"
+        return f"{type(self).__name__}({list(self.members)!r})"
 
 
-class Or(Formula):
-    """Finite disjunction over a set of formulas (members stored sorted, deduped)."""
+class And(_Junction):
+    __slots__ = ()
+    tag = 3
 
-    __slots__ = ("members",)
 
-    def __init__(self, members: Iterable[Formula]):
-        self.members = _canonical_members(members)
-        self._hash = None
-
-    rank = 4
-
-    @classmethod
-    def _presorted(cls, members: tuple[Formula, ...]) -> "Or":
-        self = cls.__new__(cls)
-        self.members = members
-        self._hash = None
-        return self
-
-    def key(self):
-        return (4, tuple(m.key() for m in self.members))
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((4, self.members))
-        return h
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return type(other) is Or and self.members == other.members
-
-    def __repr__(self):
-        return f"Or({list(self.members)!r})"
+class Or(_Junction):
+    __slots__ = ()
+    tag = 4
 
 
 class Implies(Formula):
@@ -244,8 +208,6 @@ class Implies(Formula):
         self.lhs = lhs
         self.rhs = rhs
         self._hash = None
-
-    rank = 5
 
     def key(self):
         return (5, self.lhs.key(), self.rhs.key())
@@ -276,8 +238,6 @@ class Bel(Formula):
         self.agent = agent
         self.child = child
         self._hash = None
-
-    rank = 6
 
     def key(self):
         return (6, self.agent, self.child.key())
@@ -477,7 +437,8 @@ class Rule(str, Enum):
 class RuleMeta:
     """Optional hints naming a rule instance's moving parts.
 
-    principal: the formula introduced/decomposed by the rule
+    principal: the formula introduced/decomposed by the rule; for NotLeft
+               and NotRight, the A of `not A`
     member:    the chosen member of a conjunction/disjunction (AndLeft, OrRight)
     cut:       the cut formula (Cut)
     agent:     the agent distributed over (EpistemicDist)
@@ -632,10 +593,16 @@ def _extends_minus(target: FormulaSet, side: FormulaSet, principal: Formula,
     return m in ec or m in base
 
 
+def _principals(meta, side: FormulaSet, kind: type):
+    # the hinted principal if it has the rule's connective, else every
+    # formula with that connective on the side
+    if meta is not None and meta.principal is not None:
+        return (meta.principal,) if type(meta.principal) is kind else ()
+    return [f for f in side if type(f) is kind]
+
+
 def _check_th(concl, prems, meta):
     (p,) = prems
-    if p.prefix != concl.prefix:
-        return "prefix mismatch"
     if not p.ante.issubset(concl.ante):
         return "antecedent not weakened"
     if not p.succ.issubset(concl.succ):
@@ -647,8 +614,6 @@ def _check_cut(concl, prems, meta):
     # from B[Gamma -> Theta, A] and B[A, Delta -> Lambda]
     # infer B[Delta, Gamma -> Theta, Lambda]
     p1, p2 = prems
-    if p1.prefix != concl.prefix or p2.prefix != concl.prefix:
-        return "prefix mismatch"
     if meta is not None and meta.cut is not None:
         cuts = [meta.cut]
     else:
@@ -665,51 +630,30 @@ def _check_cut(concl, prems, meta):
     return "no cut reading matches"
 
 
-def _check_not_left(concl, prems, meta):
-    # from B[Gamma -> Theta, A] infer B[not A, Gamma -> Theta]
+def _check_not(concl, prems, meta, left):
+    # NotLeft: from B[Gamma -> Theta, A] infer B[not A, Gamma -> Theta];
+    # NotRight mirrors it.  `not A` joins the antecedent when `left`, else
+    # the succedent; A leaves the other side.  The hint names A itself
     (p,) = prems
-    if p.prefix != concl.prefix:
-        return "prefix mismatch"
+    c_gain, c_leave = (concl.ante, concl.succ) if left else (concl.succ, concl.ante)
+    p_gain, p_leave = (p.ante, p.succ) if left else (p.succ, p.ante)
     if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
+        cands = (meta.principal,)
     else:
-        cands = [f.child for f in concl.ante if type(f) is Not]
+        cands = [f.child for f in c_gain if type(f) is Not]
     for a in cands:
-        if _extends(concl.ante, p.ante, Not(a)) and _extends(p.succ, concl.succ, a):
+        if _extends(c_gain, p_gain, Not(a)) and _extends(p_leave, c_leave, a):
             return None
-    return "no negation-left reading matches"
-
-
-def _check_not_right(concl, prems, meta):
-    # from B[A, Gamma -> Theta] infer B[Gamma -> Theta, not A]
-    (p,) = prems
-    if p.prefix != concl.prefix:
-        return "prefix mismatch"
-    if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
-    else:
-        cands = [f.child for f in concl.succ if type(f) is Not]
-    for a in cands:
-        if _extends(p.ante, concl.ante, a) and _extends(concl.succ, p.succ, Not(a)):
-            return None
-    return "no negation-right reading matches"
+    return "no negation reading matches"
 
 
 def _check_imp_left(concl, prems, meta):
     # from B[Gamma -> Theta, A] and B[B', Gamma -> Theta]
     # infer B[A implies B', Gamma -> Theta]
     p1, p2 = prems
-    if p1.prefix != concl.prefix or p2.prefix != concl.prefix:
-        return "prefix mismatch"
     if p2.succ != concl.succ:
         return "succedent changed"
-    if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
-    else:
-        cands = [f for f in concl.ante if type(f) is Implies]
-    for imp in cands:
-        if type(imp) is not Implies:
-            continue
+    for imp in _principals(meta, concl.ante, Implies):
         if _extends(concl.ante, p1.ante, imp) \
                 and _extends(p1.succ, concl.succ, imp.lhs) \
                 and _extends(p2.ante, p1.ante, imp.rhs):
@@ -720,128 +664,62 @@ def _check_imp_left(concl, prems, meta):
 def _check_imp_right(concl, prems, meta):
     # from B[A, Gamma -> Theta, B'] infer B[Gamma -> Theta, A implies B']
     (p,) = prems
-    if p.prefix != concl.prefix:
-        return "prefix mismatch"
-    if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
-    else:
-        cands = [f for f in concl.succ if type(f) is Implies]
-    for imp in cands:
-        if type(imp) is not Implies or imp.rhs not in p.succ:
-            continue
-        if not _extends(p.ante, concl.ante, imp.lhs):
-            continue
-        if any(_extends(concl.succ, theta, imp)
-               for theta in _candidates_minus(p.succ, imp.rhs)):
+    for imp in _principals(meta, concl.succ, Implies):
+        if imp.rhs in p.succ and _extends(p.ante, concl.ante, imp.lhs) \
+                and any(_extends(concl.succ, theta, imp)
+                        for theta in _candidates_minus(p.succ, imp.rhs)):
             return None
     return "no implication-right reading matches"
 
 
-def _check_and_left(concl, prems, meta):
+def _check_pick(concl, prems, meta, kind, left):
+    # AndLeft: from B[A_k, Gamma -> Theta] infer B[/\A, Gamma -> Theta];
+    # OrRight mirrors it on the succedent (`left` false).  The hint may
+    # name the member A_k
     (p,) = prems
-    if p.prefix != concl.prefix:
-        return "prefix mismatch"
-    if p.succ is not concl.succ and p.succ != concl.succ:
-        return "succedent changed"
-    if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
-    else:
-        cands = [f for f in concl.ante if type(f) is And]
-    for conj in cands:
-        if type(conj) is not And:
-            continue
-        members = (meta.member,) if meta is not None and meta.member is not None else conj.members
+    c_side, c_other = (concl.ante, concl.succ) if left else (concl.succ, concl.ante)
+    p_side, p_other = (p.ante, p.succ) if left else (p.succ, p.ante)
+    if p_other is not c_other and p_other != c_other:
+        return "the other side changed"
+    for a in _principals(meta, c_side, kind):
+        members = a.members
+        if meta is not None and meta.member is not None:
+            members = (meta.member,) if _has_member(members, meta.member) else ()
         for m in members:
-            if m in conj.members and _extends_minus(p.ante, concl.ante, conj, m):
+            if _extends_minus(p_side, c_side, a, m):
                 return None
-    return "no conjunction-left reading matches"
+    return "no member reading matches"
 
 
-def _match_premise_family(concl_side_cands, fixed_side, members, var_sides,
-                          fixed_sides):
-    """Shared shape for AndRight/OrLeft: one premise per member, common context.
-
-    `var_sides` and `fixed_sides` are the premises' sides on and off the
-    principal's side.  Tries the in-order pairing first, then any bijection.
-    Sides are compared with _extends, so nothing is materialised on the
-    match path.
-    """
-    if len(var_sides) != len(members):
-        return "premise count must equal member count"
-    if any(s is not fixed_side and s != fixed_side for s in fixed_sides):
-        return "premises do not cover the members"
-    for ctx in concl_side_cands:
-        if all(map(_extends, var_sides, repeat(ctx), members)):
-            return None
-        used = [False] * len(var_sides)
-        ok = True
-        for m in members:
-            for j, v in enumerate(var_sides):
-                if not used[j] and _extends(v, ctx, m):
-                    used[j] = True
+def _check_split(concl, prems, meta, kind, left):
+    # AndRight: from B[Gamma -> Theta, A_k] for every member A_k infer
+    # B[Gamma -> Theta, /\A]; OrLeft mirrors it on the antecedent (`left`
+    # true).  The premises pair with the members in order or, failing
+    # that, in any order
+    c_side, c_other = (concl.ante, concl.succ) if left else (concl.succ, concl.ante)
+    for p in prems:
+        p_other = p.succ if left else p.ante
+        if p_other is not c_other and p_other != c_other:
+            return "the other side changed"
+    var_sides = [p.ante for p in prems] if left else [p.succ for p in prems]
+    for a in _principals(meta, c_side, kind):
+        members = a.members
+        if len(var_sides) != len(members) or a not in c_side:
+            continue
+        for ctx in _candidates_minus(c_side, a):
+            if all(map(_extends, var_sides, repeat(ctx), members)):
+                return None
+            used = [False] * len(var_sides)
+            for m in members:
+                for j, v in enumerate(var_sides):
+                    if not used[j] and _extends(v, ctx, m):
+                        used[j] = True
+                        break
+                else:
                     break
             else:
-                ok = False
-                break
-        if ok:
-            return None
-    return "premises do not cover the members"
-
-
-def _check_and_right(concl, prems, meta):
-    if any(p.prefix != concl.prefix for p in prems):
-        return "prefix mismatch"
-    if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
-    else:
-        cands = [f for f in concl.succ if type(f) is And]
-    for conj in cands:
-        if type(conj) is not And or conj not in concl.succ:
-            continue
-        res = _match_premise_family(
-            _candidates_minus(concl.succ, conj), concl.ante, conj.members,
-            [p.succ for p in prems], [p.ante for p in prems])
-        if res is None:
-            return None
-    return "no conjunction-right reading matches"
-
-
-def _check_or_left(concl, prems, meta):
-    if any(p.prefix != concl.prefix for p in prems):
-        return "prefix mismatch"
-    if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
-    else:
-        cands = [f for f in concl.ante if type(f) is Or]
-    for disj in cands:
-        if type(disj) is not Or or disj not in concl.ante:
-            continue
-        res = _match_premise_family(
-            _candidates_minus(concl.ante, disj), concl.succ, disj.members,
-            [p.ante for p in prems], [p.succ for p in prems])
-        if res is None:
-            return None
-    return "no disjunction-left reading matches"
-
-
-def _check_or_right(concl, prems, meta):
-    (p,) = prems
-    if p.prefix != concl.prefix:
-        return "prefix mismatch"
-    if p.ante != concl.ante:
-        return "antecedent changed"
-    if meta is not None and meta.principal is not None:
-        cands = [meta.principal]
-    else:
-        cands = [f for f in concl.succ if type(f) is Or]
-    for disj in cands:
-        if type(disj) is not Or:
-            continue
-        members = (meta.member,) if meta is not None and meta.member is not None else disj.members
-        for m in members:
-            if _has_member(disj.members, m) and _extends_minus(p.succ, concl.succ, disj, m):
                 return None
-    return "no disjunction-right reading matches"
+    return "premises do not cover the members"
 
 
 def _check_epistemic(concl, prems, meta):
@@ -871,19 +749,21 @@ def _check_epistemic(concl, prems, meta):
     return None
 
 
-# rule -> (checker, arity); arity None means "one per member", at least one
+# rule -> (checker, arity, the checker's further arguments: the connective
+# and whether the principal sits in the antecedent); arity None means "one
+# per member", at least one
 _RULES = {
-    Rule.Th: (_check_th, 1),
-    Rule.Cut: (_check_cut, 2),
-    Rule.NotLeft: (_check_not_left, 1),
-    Rule.NotRight: (_check_not_right, 1),
-    Rule.ImpLeft: (_check_imp_left, 2),
-    Rule.ImpRight: (_check_imp_right, 1),
-    Rule.AndLeft: (_check_and_left, 1),
-    Rule.AndRight: (_check_and_right, None),
-    Rule.OrLeft: (_check_or_left, None),
-    Rule.OrRight: (_check_or_right, 1),
-    Rule.EpistemicDist: (_check_epistemic, 1),
+    Rule.Th: (_check_th, 1, ()),
+    Rule.Cut: (_check_cut, 2, ()),
+    Rule.NotLeft: (_check_not, 1, (True,)),
+    Rule.NotRight: (_check_not, 1, (False,)),
+    Rule.ImpLeft: (_check_imp_left, 2, ()),
+    Rule.ImpRight: (_check_imp_right, 1, ()),
+    Rule.AndLeft: (_check_pick, 1, (And, True)),
+    Rule.AndRight: (_check_split, None, (And, False)),
+    Rule.OrLeft: (_check_split, None, (Or, True)),
+    Rule.OrRight: (_check_pick, 1, (Or, False)),
+    Rule.EpistemicDist: (_check_epistemic, 1, ()),
 }
 
 
@@ -897,13 +777,19 @@ def _rule_failure(conclusion, premises, rule, meta) -> Optional[str]:
     entry = _RULES.get(rule)
     if entry is None:
         return f"{rule.value} is not an inference rule"
-    checker, want = entry
+    checker, want, args = entry
     if want is not None:
         if len(premises) != want:
             return f"{rule.value} takes {want} premise(s), got {len(premises)}"
     elif not premises:
         return f"{rule.value} needs at least one premise"
-    return checker(conclusion, premises, meta)
+    # every rule but EpistemicDist keeps the prefix; that one extends it
+    if checker is not _check_epistemic:
+        prefix = conclusion.prefix
+        for p in premises:
+            if p.prefix != prefix:
+                return "prefix mismatch"
+    return checker(conclusion, premises, meta, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -924,10 +810,7 @@ class ChainCache:
     """Layered check_proof cache.
 
     Lookups consult the persistent layers in order, inserts land in the
-    local layer.  Persistent layers must only hold ids of subtrees that are
-    kept alive at least as long as the layer (ids of dead objects can be
-    reused); discard the local layer together with the proof it served,
-    unless it too only records long-lived trees.
+    local layer.
     """
 
     __slots__ = ("layers", "local", "_gets")
@@ -957,18 +840,19 @@ def check_proof(tree: ProofTree, oracle: Oracle,
                 cache: Optional[dict] = None) -> CheckResult:
     """Validate every node of a proof tree.
 
-    `cache` maps id(subtree) -> CheckResult and may be shared across calls
-    when trees reuse immutable subproofs; it is purely an accelerator.
+    `cache` maps checked subtrees (hashed by identity) to their
+    CheckResult and may be shared across calls when trees reuse immutable
+    subproofs; it is purely an accelerator and keeps its subtrees alive.
     Returns a falsy result carrying the child-index path to the first
     failing node and a reason.
     """
     if cache is not None:
-        hit = cache.get(id(tree))
+        hit = cache.get(tree)
         if hit is not None:
             return hit
     res = _check_node(tree, oracle, cache)
     if cache is not None:
-        cache[id(tree)] = res
+        cache[tree] = res
     return res
 
 
@@ -993,9 +877,9 @@ def _check_node(tree, oracle, cache) -> CheckResult:
         if cache is None:
             sub = _check_node(child, oracle, None)
         else:
-            sub = cache.get(id(child))
+            sub = cache.get(child)
             if sub is None:
-                sub = cache[id(child)] = _check_node(child, oracle, cache)
+                sub = cache[child] = _check_node(child, oracle, cache)
         if not sub.ok:
             return CheckResult(False, (k,) + sub.path, sub.reason)
     return _OK

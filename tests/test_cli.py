@@ -8,6 +8,7 @@ verification failure, 3 unsupported size).
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,22 @@ def test_core_bad_json_reports_position(tmp_path, capsys):
     p.write_text("{bad")
     assert main(["core", str(p)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("players", [3, 40, 10**9])
+@pytest.mark.parametrize("command", ["core", "bs"])
+def test_game_without_worths_fails_before_enumerating(players, command, tmp_path,
+                                                       capsys):
+    p = tmp_path / "empty-v.json"
+    dump_json({"players": players, "v": {}}, str(p))
+    start = time.monotonic()
+    assert main([command, str(p)]) == 1
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: missing coalition values")
+    if players == 3:
+        assert "1 (and 6 more)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +229,8 @@ def _geq_obj(left, right, over="1"):
             "right": right, "right_tag": "1,2"}
 
 
-def _axiom_obj(formula, meta=None):
-    node = {"sequent": {"prefix": [], "ante": [], "succ": [formula]},
+def _axiom_obj(formula, meta=None, prefix=()):
+    node = {"sequent": {"prefix": list(prefix), "ante": [], "succ": [formula]},
             "rule": "NonLogicalAxiom", "children": []}
     if meta is not None:
         node["meta"] = meta
@@ -225,8 +242,20 @@ def _axiom_obj(formula, meta=None):
     _axiom_obj(_geq_obj(["1", "0"], ["0", "0"], over="5")),
     _axiom_obj(_geq_obj(["1", "0"], ["0"], over="2")),
     _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), meta=[]),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=["x", [1], None]),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=[{"a": 1}]),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=[0]),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=[True]),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), meta={"agent": "x"}),
+    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), meta={"agent": 0}),
+    {"sequent": {"prefix": [],
+                 "ante": [{"t": "bel", "agent": True, "child": _geq_obj(["1", "0"], ["0", "0"])}],
+                 "succ": [{"t": "bel", "agent": True, "child": _geq_obj(["1", "0"], ["0", "0"])}]},
+     "rule": "LogicalAxiom", "children": []},
 ], ids=["ach-without-vector", "over-beyond-payload", "payload-lengths-differ",
-        "meta-is-a-list"])
+        "meta-is-a-list", "prefix-entries-not-ints", "prefix-entry-object",
+        "prefix-entry-zero", "prefix-entry-bool", "meta-agent-string",
+        "meta-agent-zero", "bel-agent-bool"])
 def test_check_rejects_malformed_formula_objects(node, tmp_path, capsys):
     path = str(tmp_path / "bad.json")
     dump_json(node, path)

@@ -148,6 +148,11 @@ def test_cut():
     p3 = seq([G_TRUE], [G_TRUE])
     p4 = seq([G_TRUE], [])
     assert rule_instance_valid(seq([G_TRUE], []), [p3, p4], Rule.Cut)
+    # a hinted cut formula must occur in both premises
+    assert not rule_instance_valid(seq([G_TRUE, P], [G_TRUE, Q]), [p1, p2], Rule.Cut,
+                                   RuleMeta(cut=R))
+    assert not rule_instance_valid(seq([P], [Q]), [p1, seq([P], [Q])], Rule.Cut,
+                                   RuleMeta(cut=G_TRUE))
 
 
 def test_not_left():
@@ -161,6 +166,9 @@ def test_not_left():
     assert rule_instance_valid(seq([Not(P), Q], [P, R]), [prem2], Rule.NotLeft)
     assert not rule_instance_valid(seq([Not(P)], []), [prem], Rule.NotLeft)
     assert not rule_instance_valid(seq([Not(Q), Q], []), [prem], Rule.NotLeft)
+    # a hint restricts the search to the formula it names
+    assert not rule_instance_valid(seq([Not(P), Not(R), Q], []), [seq([Not(R), Q], [P])],
+                                   Rule.NotLeft, RuleMeta(principal=R))
 
 
 def test_not_right():
@@ -179,6 +187,9 @@ def test_imp_left():
     assert rule_instance_valid(seq([imp, R], [G_TRUE]), [p1, p2], Rule.ImpLeft)
     assert not rule_instance_valid(seq([imp, R], [G_TRUE]), [p2, p1], Rule.ImpLeft)
     assert not rule_instance_valid(seq([imp], [G_TRUE]), [p1, p2], Rule.ImpLeft)
+    # the second premise keeps the conclusion's succedent
+    assert not rule_instance_valid(seq([imp, R], [G_TRUE]),
+                                   [p1, seq([R, Q], [G_TRUE, P])], Rule.ImpLeft)
 
 
 def test_imp_right():
@@ -188,6 +199,10 @@ def test_imp_right():
     prem2 = seq([P, R], [Q, G_TRUE])
     assert rule_instance_valid(seq([R], [imp, G_TRUE]), [prem2], Rule.ImpRight)
     assert not rule_instance_valid(seq([R], [Implies(Q, P)]), [prem], Rule.ImpRight)
+    # A must join the antecedent, B' must sit in the premise succedent
+    assert not rule_instance_valid(seq([R], [imp]), [seq([R], [Q])], Rule.ImpRight)
+    assert not rule_instance_valid(seq([R], [imp, G_TRUE]), [seq([P, R], [G_TRUE])],
+                                   Rule.ImpRight)
 
 
 def test_and_left():
@@ -204,6 +219,16 @@ def test_and_left():
     assert not rule_instance_valid(seq([conj, R], [G_TRUE]),
                                    [seq([P, R], [G_TRUE])],
                                    Rule.AndLeft, RuleMeta(principal=conj, member=R))
+    # the succedent is untouched
+    assert not rule_instance_valid(seq([conj, R], [G_TRUE]),
+                                   [seq([P, R], [G_TRUE, Q])], Rule.AndLeft)
+    # hints restrict the search to the principal and the member they name
+    other = And([Q, R])
+    assert not rule_instance_valid(seq([conj, other], [G_TRUE]),
+                                   [seq([P, other], [G_TRUE])],
+                                   Rule.AndLeft, RuleMeta(principal=other))
+    assert not rule_instance_valid(seq([conj, R], [G_TRUE]), [seq([P, R], [G_TRUE])],
+                                   Rule.AndLeft, RuleMeta(principal=conj, member=Q))
 
 
 def test_and_right():
@@ -233,6 +258,32 @@ def test_or_right():
     assert not rule_instance_valid(seq([R], [disj]), [seq([R], [R])], Rule.OrRight)
     # disjunct already present alongside the disjunction
     assert rule_instance_valid(seq([R], [disj, P]), [seq([R], [P])], Rule.OrRight)
+    # the antecedent is untouched
+    assert not rule_instance_valid(seq([R], [disj]), [seq([R, Q], [P])], Rule.OrRight)
+
+
+# Each connective rule on an instance built around a principal formula X; the
+# instance is valid exactly when X has the rule's connective.  A hint naming a
+# formula of another type must be rejected, not followed into its fields.
+CONNECTIVE_INSTANCES = {
+    Rule.ImpLeft: (Implies, lambda x: (seq([x, R], [G_TRUE]),
+                                       [seq([R], [G_TRUE, P]), seq([R, Q], [G_TRUE])])),
+    Rule.ImpRight: (Implies, lambda x: (seq([R], [x]), [seq([P, R], [Q])])),
+    Rule.AndLeft: (And, lambda x: (seq([x, R], [G_TRUE]), [seq([P, R], [G_TRUE])])),
+    Rule.AndRight: (And, lambda x: (seq([R], [x]), [seq([R], [P]), seq([R], [Q])])),
+    Rule.OrLeft: (Or, lambda x: (seq([x, R], [G_TRUE]),
+                                 [seq([P, R], [G_TRUE]), seq([Q, R], [G_TRUE])])),
+    Rule.OrRight: (Or, lambda x: (seq([R], [x]), [seq([R], [P])])),
+}
+PRINCIPALS = [Implies(P, Q), And([P, Q]), Or([P, Q]), Not(P), P]
+
+
+@pytest.mark.parametrize("rule", list(CONNECTIVE_INSTANCES), ids=lambda r: r.value)
+def test_hinted_principal_of_the_wrong_type_is_rejected(rule):
+    kind, build = CONNECTIVE_INSTANCES[rule]
+    for x in PRINCIPALS:
+        meta = RuleMeta(principal=x, member=P)
+        assert rule_instance_valid(*build(x), rule, meta) is (type(x) is kind)
 
 
 # AndLeft on sides that share one base object: the kernel compares the deltas
@@ -327,6 +378,16 @@ def test_epistemic_dist():
     # all formulas must carry the same agent
     mixed = seq([Bel(1, P), Bel(2, Q)], [Bel(1, R)], prefix=(3,))
     assert not rule_instance_valid(mixed, [prem], Rule.EpistemicDist)
+    # and every formula must be a belief
+    assert not rule_instance_valid(seq([P], [Bel(1, R)], prefix=(3,)),
+                                   [seq([P], [R], prefix=(3, 1))], Rule.EpistemicDist)
+    assert not rule_instance_valid(seq([Bel(1, P)], [R], prefix=(3,)),
+                                   [seq([P], [R], prefix=(3, 1))], Rule.EpistemicDist)
+    # the premise is the conclusion with the belief operator stripped
+    assert not rule_instance_valid(concl, [seq([P], [R], prefix=(3, 1))],
+                                   Rule.EpistemicDist)
+    assert not rule_instance_valid(concl, [seq([P, Q], [], prefix=(3, 1))],
+                                   Rule.EpistemicDist)
     # the premise prefix must be the conclusion prefix extended by the agent
     assert not rule_instance_valid(concl, [seq([P, Q], [R], prefix=(1, 3))],
                                    Rule.EpistemicDist)
@@ -400,8 +461,21 @@ def test_check_proof_cache_is_reusable():
     wrap2 = ProofTree(seq([Q], [Not(Not(G_TRUE))]), Rule.Th, (shared,))
     cache = {}
     assert check_proof(wrap1, GRID_ORACLE, cache)
-    assert id(shared) in cache
+    assert shared in cache
     assert check_proof(wrap2, GRID_ORACLE, cache)
+
+
+def test_stale_cache_entry_never_vouches_for_a_new_node():
+    # a freed node's memory is soon reused by the next node; its cache
+    # entry must not answer for whatever lands there
+    cache = {}
+    for _ in range(50):
+        good = ProofTree(seq([], [G_TRUE]), Rule.NonLogicalAxiom)
+        assert check_proof(good, GRID_ORACLE, cache)
+        bad_sequent = seq([], [G_FALSE])
+        del good
+        bad = ProofTree(bad_sequent, Rule.NonLogicalAxiom)
+        assert not check_proof(bad, GRID_ORACLE, cache)
 
 
 # ---------------------------------------------------------------------------
