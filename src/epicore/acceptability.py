@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedSizeError
 from .games import Coalition, PayoffVector, TUGame, all_coalitions
 from .logic import (
     EMPTY_SET,
@@ -110,6 +110,10 @@ class KnowledgeProfile:
 # ---------------------------------------------------------------------------
 # grid atoms and comparison formulas, interned per (n, bound)
 
+# Knowledge sets and proofs hold formulas for every vector of the payoff
+# grid; the README's bound-31 example has 3,969 of them.
+MAX_GRID_VECTORS = 20_000
+
 
 class _AtomSpace:
     """Interning tables for one grid.
@@ -141,8 +145,12 @@ class _AtomSpace:
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """The full payoff grid in units of 1/n, lexicographic order."""
         if self._vectors is None:
-            rng = range(self.bound * self.n + 1)
-            self._vectors = tuple(itertools.product(rng, repeat=self.n))
+            side = self.bound * self.n + 1
+            if side ** self.n > MAX_GRID_VECTORS:
+                raise UnsupportedSizeError(
+                    f"the payoff grid has {side}^{self.n} vectors; knowledge sets "
+                    f"and proofs are guarded to {MAX_GRID_VECTORS:,}")
+            self._vectors = tuple(itertools.product(range(side), repeat=self.n))
         return self._vectors
 
     def ach(self, units: tuple[int, ...], tag: Coalition) -> Ach:
@@ -310,10 +318,11 @@ def gamma(game: TUGame, family: Iterable[Coalition]) -> frozenset[Formula]:
     every other achievability atom on the grid."""
     family = normalize_family(family, game.n)
     space = _atom_space(game.n, game.bound)
+    negations = space.negations()  # first: it applies the grid-size guard
     positive: set = set()
     for s in family:
         positive.update(_knowledge_units(game, s, space))
-    return space.negations().difference(map(Not, positive)).union(positive)
+    return negations.difference(map(Not, positive)).union(positive)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .jsonio import (
     proof_to_obj,
     rational_from_str,
     rational_to_str,
-    sequent_to_obj,
 )
 from .logic import GRID_ORACLE, check_proof
 from .replica import (
@@ -126,9 +125,9 @@ def _cmd_check(args) -> int:
     if not res.ok:
         print(f"rejected at {list(res.path)}: {res.reason}", file=sys.stderr)
         return 2
-    root = sequent_to_obj(proof.sequent)
-    print(f"ok: root prefix {root['prefix']}, "
-          f"{len(root['ante'])} antecedent / {len(root['succ'])} succedent "
+    root = proof.sequent
+    print(f"ok: root prefix {list(root.prefix)}, "
+          f"{len(root.ante)} antecedent / {len(root.succ)} succedent "
           f"formula(s), {proof.size()} node(s)")
     return 0
 

@@ -1,10 +1,11 @@
-"""JSON interchange: games, economies, formulas, sequents, proof trees.
+"""JSON interchange: games, economies and proof trees.
 
 Rationals travel as "p/q" strings (or bare integer strings) so nothing is
-ever rounded.  Formulas are nested tagged objects; atoms carry coalition
-keys in the game-file format ("1,3").  Payoff payloads inside atoms are
-integer grid units internally; on the wire they appear as exact rationals
-(unit 1/n, where n is the vector length).  Economy atoms carry bundles,
+ever rounded.  A proof file is a set of flat tables (see "proofs" below);
+formulas are tagged objects in one of them, and atoms carry coalition keys
+in the game-file format ("1,3").  Payoff payloads inside atoms are integer
+grid units internally; on the wire they appear as exact rationals (unit
+1/n, where n is the vector length).  Economy atoms carry bundles,
 serialized as pairs of rational strings.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
 from .errors import InvalidInputError
@@ -95,13 +97,7 @@ def game_from_obj(obj: Any) -> TUGame:
 
 
 def load_game(path: str) -> TUGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidInputError(
-                f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return game_from_obj(obj)
+    return game_from_obj(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -179,62 +175,291 @@ def payload_from_obj(obj: Any) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# formulas
+# proofs
+#
+# A proof file holds four flat tables, and every reference is a row index:
+#
+#   vectors   each distinct payload once, as above
+#   formulas  each distinct formula once, as a tagged object whose children
+#             are earlier formula rows and whose payloads are vector rows
+#   sets      each base formula set once, as formula ids
+#   nodes     one row per proof-tree node in post-order, root last: prefix,
+#             each side as {"base": set id, "delta": [formula ids]} ("base"
+#             absent on a flat side), rule, optional meta (formula ids and an
+#             agent) and child node ids.  Every row but the root is the
+#             child of exactly one later row, so the rows spell a tree.
+#
+# Reading builds every formula once and every layered side on the one
+# shared base object, so the kernel runs its delta paths on loaded proofs.
+
+# What a proof file may ask the reader to build.  Emitted proofs and their
+# formulas are at most 7 deep; the largest emitted file (bound 31) sums to
+# 325,421 formula nodes when each row is expanded into a tree.
+MAX_FORMULA_DEPTH = 64
+MAX_PROOF_DEPTH = 64
+MAX_EXPANDED_SIZE = 2_000_000
+
+_FORMULA_FIELDS = {
+    "ach": ("coalition", "vector"),
+    "geq": ("left", "left_tag", "over", "right", "right_tag"),
+    "not": ("child",),
+    "and": ("members",),
+    "or": ("members",),
+    "implies": ("lhs", "rhs"),
+    "bel": ("agent", "child"),
+}
+_META_FORMULAS = ("principal", "member", "cut")
 
 
-def formula_to_obj(f: Formula) -> dict:
-    t = type(f)
-    if t is Ach:
-        return {"t": "ach", "coalition": str(f.coalition), "vector": payload_to_obj(f.vector)}
-    if t is Geq:
-        return {"t": "geq",
-                "left": payload_to_obj(f.left), "left_tag": str(f.left_tag),
-                "over": str(f.over),
-                "right": payload_to_obj(f.right), "right_tag": str(f.right_tag)}
-    if t is Not:
-        return {"t": "not", "child": formula_to_obj(f.child)}
-    if t is And:
-        return {"t": "and", "members": [formula_to_obj(m) for m in f.members]}
-    if t is Or:
-        return {"t": "or", "members": [formula_to_obj(m) for m in f.members]}
-    if t is Implies:
-        return {"t": "implies", "lhs": formula_to_obj(f.lhs), "rhs": formula_to_obj(f.rhs)}
-    if t is Bel:
-        return {"t": "bel", "agent": f.agent, "child": formula_to_obj(f.child)}
-    raise InvalidInputError(f"unknown formula type: {t.__name__}")
+class _Tables:
+    """The vector, formula and set tables of one file being written; each
+    distinct entry gets one row, children before parents."""
+
+    def __init__(self):
+        self.vectors: list = []
+        self.formulas: list = []
+        self.sets: list = []
+        self._vector_ids: dict = {}
+        self._formula_ids: dict = {}
+        self._set_ids: dict = {}
+
+    def vector(self, vec: tuple) -> int:
+        k = self._vector_ids.get(vec)
+        if k is None:
+            k = self._vector_ids[vec] = len(self.vectors)
+            self.vectors.append(payload_to_obj(vec))
+        return k
+
+    def formula(self, f: Formula) -> int:
+        k = self._formula_ids.get(f)
+        if k is None:
+            row = self._formula_row(f)
+            k = self._formula_ids[f] = len(self.formulas)
+            self.formulas.append(row)
+        return k
+
+    def _formula_row(self, f: Formula) -> dict:
+        t = type(f)
+        if t is Ach:
+            return {"t": "ach", "coalition": str(f.coalition), "vector": self.vector(f.vector)}
+        if t is Geq:
+            return {"t": "geq",
+                    "left": self.vector(f.left), "left_tag": str(f.left_tag),
+                    "over": str(f.over),
+                    "right": self.vector(f.right), "right_tag": str(f.right_tag)}
+        if t is Not:
+            return {"t": "not", "child": self.formula(f.child)}
+        if t is And or t is Or:
+            return {"t": "and" if t is And else "or",
+                    "members": [self.formula(m) for m in f.members]}
+        if t is Implies:
+            return {"t": "implies", "lhs": self.formula(f.lhs), "rhs": self.formula(f.rhs)}
+        if t is Bel:
+            return {"t": "bel", "agent": f.agent, "child": self.formula(f.child)}
+        raise InvalidInputError(f"unknown formula type: {t.__name__}")
+
+    def ids(self, formulas: frozenset) -> list:
+        # canonical order, so that ids never follow set iteration order;
+        # keys expand a formula, so a lone one is not sorted
+        if len(formulas) > 1:
+            formulas = sorted(formulas, key=lambda f: f.key())
+        return [self.formula(f) for f in formulas]
+
+    def side(self, fs: FormulaSet) -> dict:
+        out = {}
+        if fs.base is not None:
+            k = self._set_ids.get(fs.base)
+            if k is None:
+                k = self._set_ids[fs.base] = len(self.sets)
+                self.sets.append(self.ids(fs.base))
+            out["base"] = k
+        out["delta"] = self.ids(fs.extra)
+        return out
 
 
-def formula_from_obj(obj: Any) -> Formula:
-    if not isinstance(obj, dict) or "t" not in obj:
-        raise InvalidInputError("formula must be a tagged object")
-    t = obj["t"]
-    try:
-        if t == "ach":
-            return Ach(payload_from_obj(obj["vector"]), Coalition.parse(obj["coalition"]))
-        if t == "geq":
-            left = payload_from_obj(obj["left"])
-            right = payload_from_obj(obj["right"])
-            if len(left) != len(right) or type(left[0]) is not type(right[0]):
-                raise InvalidInputError("geq compares payloads of different shapes")
-            # the kernel reads both payloads at every member of `over`
-            over = Coalition.parse(obj["over"])
-            if over.members[-1] > len(left):
-                raise InvalidInputError(f"coalition {over} exceeds the payload length")
-            return Geq(left, Coalition.parse(obj["left_tag"]), over,
-                       right, Coalition.parse(obj["right_tag"]))
-        if t == "not":
-            return Not(formula_from_obj(obj["child"]))
-        if t == "and":
-            return And([formula_from_obj(m) for m in _array(obj, "members")])
-        if t == "or":
-            return Or([formula_from_obj(m) for m in _array(obj, "members")])
-        if t == "implies":
-            return Implies(formula_from_obj(obj["lhs"]), formula_from_obj(obj["rhs"]))
-        if t == "bel":
-            return Bel(_agent(obj["agent"]), formula_from_obj(obj["child"]))
-    except KeyError as e:
-        raise InvalidInputError(f"{t!r} formula needs field {e.args[0]!r}") from None
-    raise InvalidInputError(f"unknown formula tag: {t!r}")
+def proof_to_obj(tree: ProofTree) -> dict:
+    tables = _Tables()
+    order, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    # reversed, `order` is the post-order: a node's children are the last
+    # rows still waiting for their parent when the node is reached
+    nodes, waiting = [], []
+    for node in reversed(order):
+        seq = node.sequent
+        row = {"prefix": list(seq.prefix), "ante": tables.side(seq.ante),
+               "succ": tables.side(seq.succ), "rule": node.rule.value}
+        meta = node.meta
+        if meta is not None:
+            hints = {name: tables.formula(getattr(meta, name)) for name in _META_FORMULAS
+                     if getattr(meta, name) is not None}
+            if meta.agent is not None:
+                hints["agent"] = meta.agent
+            if hints:
+                row["meta"] = hints
+        k = len(node.children)
+        if k:
+            row["children"] = waiting[-k:]
+            del waiting[-k:]
+        waiting.append(len(nodes))
+        nodes.append(row)
+    return {"vectors": tables.vectors, "formulas": tables.formulas,
+            "sets": tables.sets, "nodes": nodes}
+
+
+def proof_from_obj(obj: Any) -> ProofTree:
+    _fields(obj, "proof file", ("vectors", "formulas", "sets", "nodes"))
+    vectors = [payload_from_obj(v) for v in _array(obj, "vectors")]
+    formulas = _formula_table(_array(obj, "formulas"), vectors)
+    sets = [frozenset(formulas[k] for k in _ids(row, formulas, "formula"))
+            for row in _array(obj, "sets")]
+    rows = _array(obj, "nodes")
+    if not rows:
+        raise InvalidInputError("proof has no nodes")
+    trees, depth, used = [], [], []
+    sides: dict = {}
+    for row in rows:
+        _fields(row, "proof node", ("prefix", "ante", "succ", "rule"), ("meta", "children"))
+        try:
+            rule = Rule(row["rule"])
+        except ValueError:
+            raise InvalidInputError(f"unknown rule tag: {row['rule']!r}") from None
+        kids = _ids(row.get("children", []), trees, "node")
+        for k in kids:
+            if used[k]:
+                raise InvalidInputError(f"node {k} is a child twice")
+            used[k] = True
+        d = 1 + max((depth[k] for k in kids), default=0)
+        if d > MAX_PROOF_DEPTH:
+            raise InvalidInputError(f"proof is deeper than {MAX_PROOF_DEPTH} nodes")
+        seq = ThoughtSequent(tuple(map(_agent, _array(row, "prefix"))),
+                             _side(row["ante"], formulas, sets, sides),
+                             _side(row["succ"], formulas, sets, sides))
+        meta = _meta(row["meta"], formulas) if "meta" in row else None
+        trees.append(ProofTree(seq, rule, tuple(trees[k] for k in kids), meta))
+        depth.append(d)
+        used.append(False)
+    if not all(used[:-1]):
+        raise InvalidInputError(f"node {used.index(False)} has no parent, "
+                                "but only the last node is the root")
+    return trees[-1]
+
+
+def _formula_table(rows: list, vectors: list) -> list:
+    """The formulas of the table rows.  Every row is checked, and the caps
+    applied, before any formula is built: building a conjunction or
+    disjunction sorts its members on their expanded keys."""
+    recipes, depth, size = [], [], []
+    total = 0
+    for row in rows:
+        make, kids = _formula_recipe(row, vectors)
+        _ids(kids, recipes, "formula")
+        d = 1 + max((depth[k] for k in kids), default=0)
+        s = 1 + sum(size[k] for k in kids)
+        total += s
+        if d > MAX_FORMULA_DEPTH:
+            raise InvalidInputError(f"formula {len(recipes)} is nested deeper "
+                                    f"than {MAX_FORMULA_DEPTH}")
+        if total > MAX_EXPANDED_SIZE:
+            raise InvalidInputError(f"formulas expand to more than {MAX_EXPANDED_SIZE:,} nodes")
+        recipes.append((make, kids))
+        depth.append(d)
+        size.append(s)
+    built: list = []
+    for make, kids in recipes:
+        built.append(make([built[k] for k in kids]))
+    return built
+
+
+def _formula_recipe(row: Any, vectors: list):
+    """(make, child ids) for one formula row: make builds the formula from
+    its children.  Atoms are built here; they have no children."""
+    t = row.get("t") if isinstance(row, dict) else None
+    if not isinstance(t, str) or t not in _FORMULA_FIELDS:
+        raise InvalidInputError(f"formula rows must carry a known tag, got {t!r}")
+    _fields(row, f"{t!r} formula", ("t",) + _FORMULA_FIELDS[t])
+    if t == "ach":
+        atom = Ach(_ref(vectors, row["vector"], "vector"), _coalition(row["coalition"]))
+        return (lambda _: atom), []
+    if t == "geq":
+        left = _ref(vectors, row["left"], "vector")
+        right = _ref(vectors, row["right"], "vector")
+        if len(left) != len(right) or type(left[0]) is not type(right[0]):
+            raise InvalidInputError("geq compares payloads of different shapes")
+        # the kernel reads both payloads at every member of `over`
+        over = _coalition(row["over"])
+        if over.members[-1] > len(left):
+            raise InvalidInputError(f"coalition {over} exceeds the payload length")
+        atom = Geq(left, _coalition(row["left_tag"]), over,
+                   right, _coalition(row["right_tag"]))
+        return (lambda _: atom), []
+    if t == "not":
+        return (lambda c: Not(c[0])), [row["child"]]
+    if t == "and":
+        return And, _array(row, "members")
+    if t == "or":
+        return Or, _array(row, "members")
+    if t == "implies":
+        return (lambda c: Implies(*c)), [row["lhs"], row["rhs"]]
+    agent = _agent(row["agent"])
+    return (lambda c: Bel(agent, c[0])), [row["child"]]
+
+
+@lru_cache(maxsize=1024)
+def _parse_coalition(text: str) -> Coalition:
+    return Coalition.parse(text)
+
+
+def _coalition(text: Any) -> Coalition:
+    # a file names few distinct coalitions, each many times
+    return _parse_coalition(text) if isinstance(text, str) else Coalition.parse(text)
+
+
+def _side(obj: Any, formulas: list, sets: list, interned: dict) -> FormulaSet:
+    # equal sides of a file share one FormulaSet, as they do in memory
+    _fields(obj, "sequent side", ("delta",), ("base",))
+    delta = tuple(_ids(obj["delta"], formulas, "formula"))
+    base = _ref(sets, obj["base"], "set") if "base" in obj else None
+    key = (obj.get("base"), delta)
+    fs = interned.get(key)
+    if fs is None:
+        fs = interned[key] = FormulaSet(base, frozenset(formulas[k] for k in delta))
+    return fs
+
+
+def _meta(obj: Any, formulas: list) -> RuleMeta:
+    _fields(obj, "proof meta", (), _META_FORMULAS + ("agent",))
+    hints = {name: _ref(formulas, obj[name], "formula")
+             for name in _META_FORMULAS if name in obj}
+    return RuleMeta(agent=_agent(obj["agent"]) if "agent" in obj else None, **hints)
+
+
+def _ref(table: list, k: Any, what: str):
+    # tables fill row by row, so a reference can only reach an earlier row
+    if type(k) is not int or not 0 <= k < len(table):
+        raise InvalidInputError(f"{what} id {k!r} is not an earlier row")
+    return table[k]
+
+
+def _ids(ids: Any, table: list, what: str) -> list:
+    if not isinstance(ids, list):
+        raise InvalidInputError(f"{what} ids must be an array")
+    for k in ids:
+        _ref(table, k, what)
+    return ids
+
+
+def _fields(obj: Any, what: str, required: tuple, optional: tuple = ()) -> None:
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} must be an object")
+    for name in required:
+        if name not in obj:
+            raise InvalidInputError(f"{what} needs field {name!r}")
+    for name in obj:
+        if name not in required and name not in optional:
+            raise InvalidInputError(f"unknown field in {what}: {name!r}")
 
 
 def _agent(value: Any) -> int:
@@ -250,75 +475,10 @@ def _array(obj: dict, name: str) -> list:
     return value
 
 
-# ---------------------------------------------------------------------------
-# sequents and proofs
-
-
-def sequent_to_obj(seq: ThoughtSequent) -> dict:
-    ante = sorted(seq.ante, key=lambda f: f.key())
-    succ = sorted(seq.succ, key=lambda f: f.key())
-    return {"prefix": list(seq.prefix),
-            "ante": [formula_to_obj(f) for f in ante],
-            "succ": [formula_to_obj(f) for f in succ]}
-
-
-def sequent_from_obj(obj: Any) -> ThoughtSequent:
-    if not isinstance(obj, dict):
-        raise InvalidInputError("sequent must be an object")
-    return ThoughtSequent(
-        tuple(map(_agent, _array(obj, "prefix"))),
-        FormulaSet.of(formula_from_obj(f) for f in _array(obj, "ante")),
-        FormulaSet.of(formula_from_obj(f) for f in _array(obj, "succ")))
-
-
-def _meta_to_obj(meta: RuleMeta) -> dict:
-    out = {}
-    if meta.principal is not None:
-        out["principal"] = formula_to_obj(meta.principal)
-    if meta.member is not None:
-        out["member"] = formula_to_obj(meta.member)
-    if meta.cut is not None:
-        out["cut"] = formula_to_obj(meta.cut)
-    if meta.agent is not None:
-        out["agent"] = meta.agent
-    return out
-
-
-def _meta_from_obj(obj: Any) -> RuleMeta:
-    if not isinstance(obj, dict):
-        raise InvalidInputError("proof meta must be an object")
-    return RuleMeta(
-        principal=formula_from_obj(obj["principal"]) if "principal" in obj else None,
-        member=formula_from_obj(obj["member"]) if "member" in obj else None,
-        cut=formula_from_obj(obj["cut"]) if "cut" in obj else None,
-        agent=_agent(obj["agent"]) if "agent" in obj else None)
-
-
-def proof_to_obj(tree: ProofTree) -> dict:
-    out = {"sequent": sequent_to_obj(tree.sequent), "rule": tree.rule.value}
-    if tree.meta is not None:
-        m = _meta_to_obj(tree.meta)
-        if m:
-            out["meta"] = m
-    out["children"] = [proof_to_obj(c) for c in tree.children]
-    return out
-
-
-def proof_from_obj(obj: Any) -> ProofTree:
-    if not isinstance(obj, dict) or "sequent" not in obj or "rule" not in obj:
-        raise InvalidInputError("proof node must carry a sequent and a rule tag")
-    try:
-        rule = Rule(obj["rule"])
-    except ValueError:
-        raise InvalidInputError(f"unknown rule tag: {obj['rule']!r}") from None
-    meta = _meta_from_obj(obj["meta"]) if "meta" in obj else None
-    children = tuple(proof_from_obj(c) for c in _array(obj, "children"))
-    return ProofTree(sequent_from_obj(obj["sequent"]), rule, children, meta)
-
-
 def dump_json(obj: Any, path: str) -> None:
+    # one line: json.dumps runs the C encoder only without indentation
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(obj, sort_keys=True))
         fh.write("\n")
 
 
@@ -329,3 +489,5 @@ def load_json(path: str) -> Any:
         except json.JSONDecodeError as e:
             raise InvalidInputError(
                 f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise InvalidInputError(f"{path}: JSON nested too deeply") from None

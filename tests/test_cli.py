@@ -7,11 +7,14 @@ verification failure, 3 unsupported size).
 """
 
 import csv
+import importlib.util
 import json
+import pathlib
 import time
 
 import pytest
 
+from epicore import acceptability, cli
 from epicore.cli import main
 from epicore.jsonio import (
     dump_json,
@@ -189,13 +192,29 @@ def test_prove_acceptable_polarity(min_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bound_six_round_trip_is_small_and_fast(tmp_path, capsys):
+    # the acceptable proof over the full knowledge set: 1,389 nodes, |Gamma| = 507
+    game, proof_file = str(tmp_path / "g6.json"), str(tmp_path / "proof.json")
+    dump_json({"players": 2, "bound": 6, "v": {"1": 3, "2": 3, "1,2": 3}}, game)
+    acceptability._purge_spaces()
+    start = time.monotonic()
+    assert main(["prove", game, "-i", "1", "-K", "1;2;1,2", "-x", "3,0",
+                 "-o", proof_file]) == 0
+    assert main(["check", proof_file]) == 0
+    assert time.monotonic() - start < 1.0
+    assert pathlib.Path(proof_file).stat().st_size < 2_000_000
+    out = capsys.readouterr().out
+    assert "nodes: 1389" in out
+    assert "ok: root prefix [1], 507 antecedent / 1 succedent formula(s), 1389 node(s)" in out
+
+
 def test_check_rejects_forged_rule(min_path, tmp_path, capsys):
     proof_file = str(tmp_path / "proof.json")
     main(["prove", min_path, "-i", "1", "-K", "1,2", "-x", "0,0",
           "-o", proof_file])
     capsys.readouterr()
     obj = load_json(proof_file)
-    obj["rule"] = "AndRight"
+    obj["nodes"][-1]["rule"] = "AndRight"
     dump_json(obj, proof_file)
     assert main(["check", proof_file]) == 2
     assert "rejected at" in capsys.readouterr().err
@@ -208,62 +227,216 @@ def test_check_rejects_corrupted_payload(min_path, tmp_path, capsys):
     capsys.readouterr()
     obj = load_json(proof_file)
 
-    def forge_first_axiom(node):
-        # swap the sides of one comparison axiom: the claim becomes false
-        if node["rule"] == "NonLogicalAxiom":
-            f = node["sequent"]["succ"][0]
-            if f["t"] == "geq" and f["left"] != f["right"]:
-                f["left"], f["right"] = f["right"], f["left"]
-                return True
-        return any(forge_first_axiom(c) for c in node.get("children", ()))
+    def forge_first_axiom():
+        # swap the vectors of one comparison axiom: the claim becomes false
+        for node in obj["nodes"]:
+            if node["rule"] == "NonLogicalAxiom":
+                f = obj["formulas"][node["succ"]["delta"][0]]
+                if f["t"] == "geq" and f["left"] != f["right"]:
+                    f["left"], f["right"] = f["right"], f["left"]
+                    return True
+        return False
 
-    assert forge_first_axiom(obj)
+    assert forge_first_axiom()
     forged_file = str(tmp_path / "forged.json")
     dump_json(obj, forged_file)
     assert main(["check", forged_file]) == 2
     assert "rejected at" in capsys.readouterr().err
 
 
-def _geq_obj(left, right, over="1"):
-    return {"t": "geq", "left": left, "left_tag": "1,2", "over": over,
-            "right": right, "right_tag": "1,2"}
+_GEQ = {"t": "geq", "left": 0, "left_tag": "1,2", "over": "1", "right": 1, "right_tag": "1,2"}
 
 
-def _axiom_obj(formula, meta=None, prefix=()):
-    node = {"sequent": {"prefix": list(prefix), "ante": [], "succ": [formula]},
-            "rule": "NonLogicalAxiom", "children": []}
+def _axiom_file(formulas, vectors=(["1", "0"], ["0", "0"]), meta=None, prefix=(),
+                rule="NonLogicalAxiom", ante=()):
+    """A one-node proof file: the last formula row is the succedent, `ante`
+    lists antecedent formula ids."""
+    node = {"prefix": list(prefix), "ante": {"delta": list(ante)},
+            "succ": {"delta": [len(formulas) - 1]}, "rule": rule}
     if meta is not None:
         node["meta"] = meta
-    return node
+    return {"vectors": [list(v) for v in vectors], "formulas": list(formulas),
+            "sets": [], "nodes": [node]}
 
 
-@pytest.mark.parametrize("node", [
-    _axiom_obj({"t": "ach", "coalition": "1"}),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"], over="5")),
-    _axiom_obj(_geq_obj(["1", "0"], ["0"], over="2")),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), meta=[]),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=["x", [1], None]),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=[{"a": 1}]),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=[0]),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), prefix=[True]),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), meta={"agent": "x"}),
-    _axiom_obj(_geq_obj(["1", "0"], ["0", "0"]), meta={"agent": 0}),
-    {"sequent": {"prefix": [],
-                 "ante": [{"t": "bel", "agent": True, "child": _geq_obj(["1", "0"], ["0", "0"])}],
-                 "succ": [{"t": "bel", "agent": True, "child": _geq_obj(["1", "0"], ["0", "0"])}]},
-     "rule": "LogicalAxiom", "children": []},
+def _bel_axiom(agent):
+    return _axiom_file([_GEQ, {"t": "bel", "agent": agent, "child": 0}],
+                       rule="LogicalAxiom", ante=[1])
+
+
+def _run_check(obj, tmp_path, capsys):
+    path = str(tmp_path / "proof.json")
+    dump_json(obj, path)
+    start = time.perf_counter()
+    code = main(["check", path])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    return code, out.out, out.err, elapsed
+
+
+@pytest.mark.parametrize("obj", [
+    _axiom_file([_GEQ]),
+    _axiom_file([_GEQ], meta={"agent": 1}, prefix=[1, 2]),
+    _bel_axiom(1),
+], ids=["comparison-axiom", "with-prefix-and-agent", "bel-axiom"])
+def test_check_accepts_the_well_formed_base_files(obj, tmp_path, capsys):
+    # the malformed cases below each break one field of these files
+    code, out, _, _ = _run_check(obj, tmp_path, capsys)
+    assert code == 0
+    assert out.startswith("ok: ")
+
+
+def _expect_one_error_line(code, err, elapsed, reason):
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert reason in err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("obj, reason", [
+    (_axiom_file([{"t": "ach", "coalition": "1"}]), "needs field 'vector'"),
+    (_axiom_file([dict(_GEQ, over="5")]), "exceeds the payload length"),
+    (_axiom_file([dict(_GEQ, over="2")], vectors=(["1", "0"], ["0"])), "different shapes"),
+    (_axiom_file([_GEQ], meta=[]), "meta must be an object"),
+    (_axiom_file([_GEQ], prefix=["x", [1], None]), "agent ids"),
+    (_axiom_file([_GEQ], prefix=[{"a": 1}]), "agent ids"),
+    (_axiom_file([_GEQ], prefix=[0]), "agent ids"),
+    (_axiom_file([_GEQ], prefix=[True]), "agent ids"),
+    (_axiom_file([_GEQ], meta={"agent": "x"}), "agent ids"),
+    (_axiom_file([_GEQ], meta={"agent": 0}), "agent ids"),
+    (_bel_axiom(True), "agent ids"),
 ], ids=["ach-without-vector", "over-beyond-payload", "payload-lengths-differ",
         "meta-is-a-list", "prefix-entries-not-ints", "prefix-entry-object",
         "prefix-entry-zero", "prefix-entry-bool", "meta-agent-string",
         "meta-agent-zero", "bel-agent-bool"])
-def test_check_rejects_malformed_formula_objects(node, tmp_path, capsys):
-    path = str(tmp_path / "bad.json")
-    dump_json(node, path)
-    assert main(["check", path]) == 1
+def test_check_rejects_malformed_formula_objects(obj, reason, tmp_path, capsys):
+    code, _, err, elapsed = _run_check(obj, tmp_path, capsys)
+    _expect_one_error_line(code, err, elapsed, reason)
+
+
+def _leaf():
+    return {"prefix": [], "ante": {"delta": []}, "succ": {"delta": [0]},
+            "rule": "NonLogicalAxiom"}
+
+
+def _with_nodes(nodes, **changes):
+    obj = _axiom_file([_GEQ])
+    obj["nodes"] = nodes
+    obj.update(changes)
+    return obj
+
+
+def _th(child):
+    return dict(_leaf(), rule="Th", children=[child])
+
+
+def _formula_chain(step, length):
+    # f_0 is the comparison atom; each step adds rows built from the last
+    rows = [_GEQ]
+    for _ in range(length):
+        rows.extend(step(len(rows) - 1, len(rows)))
+    return _axiom_file(rows)
+
+
+def _old_nested_file():
+    return {"sequent": {"prefix": [], "ante": [],
+                        "succ": [{"t": "geq", "left": ["1", "0"], "left_tag": "1,2",
+                                  "over": "1", "right": ["0", "0"], "right_tag": "1,2"}]},
+            "rule": "NonLogicalAxiom", "children": []}
+
+
+@pytest.mark.parametrize("obj, reason", [
+    (_axiom_file([_GEQ, {"t": "not", "child": 1}]), "formula id 1 is not an earlier row"),
+    (_axiom_file([{"t": "not", "child": -1}]), "formula id -1"),
+    (_axiom_file([dict(_GEQ, right=2)]), "vector id 2"),
+    (_axiom_file([dict(_GEQ, right=True)]), "vector id True"),
+    (_with_nodes([dict(_leaf(), ante={"base": 0, "delta": []})]), "set id 0"),
+    (_with_nodes([_leaf()], sets=[[1]]), "formula id 1"),
+    (_with_nodes([dict(_leaf(), succ={"delta": [3]})]), "formula id 3"),
+    (_with_nodes([_th(1), _leaf()]), "node id 1"),
+    (_with_nodes([_leaf(), _th(0), _th(0)]), "node 0 is a child twice"),
+    (_with_nodes([_leaf(), dict(_th(0), rule="AndRight", children=[0, 0])]),
+     "node 0 is a child twice"),
+    (_with_nodes([_leaf(), _leaf()]), "node 0 has no parent"),
+    (_with_nodes([]), "no nodes"),
+    (dict(_axiom_file([_GEQ]), version=2), "unknown field in proof file: 'version'"),
+    (_axiom_file([dict(_GEQ, note="x")]), "unknown field in 'geq' formula: 'note'"),
+    (_with_nodes([dict(_leaf(), sequent={})]), "unknown field in proof node: 'sequent'"),
+    (_with_nodes([dict(_leaf(), ante={"delta": [], "flat": 0})]),
+     "unknown field in sequent side: 'flat'"),
+    (_axiom_file([_GEQ], meta={"hint": 0}), "unknown field in proof meta: 'hint'"),
+    (_old_nested_file(), "proof file needs field 'vectors'"),
+    (_formula_chain(lambda last, nxt: [{"t": "not", "child": last}], 64),
+     "nested deeper than 64"),
+    (_with_nodes([_leaf()] + [_th(k) for k in range(2999)]), "deeper than 64 nodes"),
+    (_formula_chain(lambda last, nxt: [{"t": "not", "child": last},
+                                       {"t": "and", "members": [last, nxt]}], 40),
+     "expand to more than"),
+], ids=["formula-self-reference", "formula-id-negative", "vector-id-past-end",
+        "vector-id-bool", "set-id-past-end", "set-row-formula-past-end",
+        "delta-id-past-end", "child-not-earlier", "child-of-two-nodes",
+        "child-twice-in-one-node", "two-roots", "no-nodes", "unknown-top-field",
+        "unknown-formula-field", "unknown-node-field", "unknown-side-field",
+        "unknown-meta-field", "old-nested-format", "formula-too-deep",
+        "proof-too-deep", "formulas-expand-too-far"])
+def test_check_rejects_hostile_tables(obj, reason, tmp_path, capsys):
+    code, _, err, elapsed = _run_check(obj, tmp_path, capsys)
+    _expect_one_error_line(code, err, elapsed, reason)
+
+
+@pytest.mark.parametrize("command", ["check", "core"])
+def test_deeply_nested_json_is_invalid_input(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    start = time.monotonic()
+    assert main([command, str(path)]) == 1
+    assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("knowledge", ["", "1,2"])
+@pytest.mark.parametrize("worth", [1, 99999])
+def test_prove_on_a_huge_grid_fails_before_enumerating(knowledge, worth, tmp_path, capsys):
+    # (2 * 100000 + 1)^2 grid vectors: the guard fires before any is built
+    game = tmp_path / "huge.json"
+    dump_json({"players": 2, "bound": 100000, "v": {"1": 0, "2": 0, "1,2": worth}},
+              str(game))
+    start = time.monotonic()
+    assert main(["prove", str(game), "-i", "1", "-K", knowledge, "-x", "0,0",
+                 "-o", str(tmp_path / "proof.json")]) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("unsupported size: the payoff grid has 200001^2 vectors")
+
+
+def test_cli_keeps_every_name_the_benchmark_rebinds():
+    # perfbench's traced runs rebind these module attributes by name
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rebound = []
+
+    class Recorder:
+        counts: dict = {}
+
+        def patch(self, owner, attr, name, after=None):
+            rebound.append((owner, attr))
+
+        def count(self, owner, attr, key, hit):
+            rebound.append((owner, attr))
+
+    workloads.instrument(Recorder())
+    assert {attr for owner, attr in rebound if owner is cli} >= {
+        "proof_to_obj", "dump_json", "load_json", "proof_from_obj", "check_proof",
+        "load_game", "decide"}
+    for owner, attr in rebound:
+        assert hasattr(owner, attr), (owner, attr)
 
 
 def test_check_unknown_oracle_is_a_usage_error(min_path, tmp_path, capsys):

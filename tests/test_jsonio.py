@@ -23,8 +23,6 @@ from epicore.jsonio import (
     dump_json,
     economy_from_obj,
     economy_to_obj,
-    formula_from_obj,
-    formula_to_obj,
     game_from_obj,
     game_to_obj,
     load_economy,
@@ -36,10 +34,18 @@ from epicore.jsonio import (
     proof_to_obj,
     rational_from_str,
     rational_to_str,
-    sequent_from_obj,
-    sequent_to_obj,
 )
-from epicore.logic import Ach, Geq, Not, strict_gain
+from epicore.logic import (
+    EMPTY_SET,
+    Ach,
+    FormulaSet,
+    Geq,
+    Not,
+    ProofTree,
+    Rule,
+    ThoughtSequent,
+    strict_gain,
+)
 from epicore.replica import Allocation, EdgeworthEconomy, ReplicaEconomy
 
 
@@ -205,24 +211,90 @@ def sample_formulas():
     ]
 
 
+def axiom(f, prefix=()) -> ProofTree:
+    return ProofTree(ThoughtSequent(prefix, EMPTY_SET, FormulaSet.of((f,))),
+                     Rule.NonLogicalAxiom)
+
+
 def test_formula_round_trip():
     for f in sample_formulas():
-        assert formula_from_obj(formula_to_obj(f)) == f
+        (back,) = proof_from_obj(proof_to_obj(axiom(f))).sequent.succ
+        assert back == f
 
 
-def test_formula_from_obj_rejects_unknown_tag():
+def test_formula_row_rejects_unknown_tag():
+    obj = proof_to_obj(axiom(sample_formulas()[0]))
+    obj["formulas"][-1] = {"op": "xor", "args": []}
     with pytest.raises(InvalidInputError):
-        formula_from_obj({"op": "xor", "args": []})
+        proof_from_obj(obj)
 
 
 def test_sequent_round_trip():
     g = small_game()
     proof = emit_proof(g, 1, [Coalition.parse("1")], PayoffVector.of(0, 3))
     seq = proof.sequent
-    back = sequent_from_obj(sequent_to_obj(seq))
+    back = proof_from_obj(proof_to_obj(proof)).sequent
     assert back.prefix == seq.prefix
     assert frozenset(back.ante) == frozenset(seq.ante)
     assert frozenset(back.succ) == frozenset(seq.succ)
+
+
+def test_proof_obj_shape():
+    # a weakening over one comparison axiom: every vector, formula and base
+    # is a row of its own table, and nodes refer to rows by index
+    c1, c12 = Coalition.of(1), Coalition.of(1, 2)
+    geq = Geq((2, 1), c12, c1, (1, 0), c1)
+    ach = Ach((1, 0), c1)
+    base = frozenset((ach, Not(ach)))
+    tree = ProofTree(ThoughtSequent((1,), FormulaSet.layered(base), FormulaSet.of((geq,))),
+                     Rule.Th, (axiom(geq, (1,)),))
+    assert proof_to_obj(tree) == {
+        "vectors": [["1", "1/2"], ["1/2", "0"]],
+        "formulas": [
+            {"t": "geq", "left": 0, "left_tag": "1,2", "over": "1",
+             "right": 1, "right_tag": "1"},
+            {"t": "ach", "coalition": "1", "vector": 1},
+            {"t": "not", "child": 1},
+        ],
+        "sets": [[1, 2]],
+        "nodes": [
+            {"prefix": [1], "ante": {"delta": []}, "succ": {"delta": [0]},
+             "rule": "NonLogicalAxiom"},
+            {"prefix": [1], "ante": {"base": 0, "delta": []}, "succ": {"delta": [0]},
+             "rule": "Th", "children": [0]},
+        ],
+    }
+
+
+def test_proof_obj_ignores_set_iteration_order():
+    # equal sets built in opposite orders may iterate differently; the
+    # file must not
+    g = TUGame.from_values(2, {"1": 3, "2": 3, "1,2": 3})
+    proof = emit_proof(g, 1, [Coalition.parse("1")], PayoffVector.of(1, 1))
+    members = sorted(proof.sequent.ante, key=lambda f: f.key())
+    assert list(frozenset(members)) != list(frozenset(members[::-1]))
+    for order in (members, members[::-1]):
+        seq = ThoughtSequent(proof.sequent.prefix, FormulaSet.layered(frozenset(order)),
+                             proof.sequent.succ)
+        again = ProofTree(seq, proof.rule, proof.children, proof.meta)
+        assert proof_to_obj(again) == proof_to_obj(proof)
+
+
+def test_reloaded_sides_share_their_base():
+    g = TUGame.from_values(2, {"1": 1, "2": 1, "1,2": 2})
+    obj = proof_to_obj(emit_proof(g, 1, [Coalition.parse("1,2")], PayoffVector.of(1, 1)))
+    assert len(obj["sets"]) == 1
+    # every formula is written once
+    assert len({json.dumps(row, sort_keys=True) for row in obj["formulas"]}) \
+        == len(obj["formulas"])
+    proof = proof_from_obj(obj)
+    bases, stack = set(), [proof]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        bases.update(id(s.base) for s in (node.sequent.ante, node.sequent.succ)
+                     if s.base is not None)
+    assert len(bases) == 1
 
 
 def test_proof_round_trip_is_stable():
@@ -240,7 +312,7 @@ def test_proof_from_obj_rejects_unknown_rule():
     g = small_game()
     x = PayoffVector.of(0, 3)
     obj = proof_to_obj(emit_proof(g, 1, [Coalition.parse("1")], x))
-    obj["rule"] = "ModusPonens"
+    obj["nodes"][-1]["rule"] = "ModusPonens"
     with pytest.raises(InvalidInputError):
         proof_from_obj(obj)
 

@@ -10,13 +10,29 @@ principal swapped for another formula of the node.
 The kernel must return normally on every mutant and reject every one except
 the meta mutants: a hint only steers the search, so a meta mutant may be
 accepted, but then it still concludes the original root sequent.
+
+The same proofs are also written to proof files, and each file gets a few
+mutants that change one index: a formula, vector, set, delta or child id
+moved by one, or an id dropped.  `epicore check` must end in exit code 0,
+1 or 2 without raising.  A file row is shared by every node that uses it,
+so a mutant of a formula or set row changes all those nodes alike and may
+be a valid proof of another sequent.  An accepted mutant must therefore
+load to the original root sequent, or have changed a shared row and
+conclude a root that is true in the model the original knowledge set fixes
+(an atom holds iff the knowledge set lists it, comparisons by the grid
+order).
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 from collections import Counter
 
 from epicore.acceptability import emit_proof
+from epicore.cli import main
+from epicore.jsonio import load_json, proof_from_obj, proof_to_obj
 from epicore.games import Coalition, PayoffVector, TUGame, all_coalitions
 from epicore.logic import (
     GRID_ORACLE,
@@ -38,6 +54,7 @@ from epicore.logic import (
 N = 2
 KINDS = ("payload", "rule", "child", "add", "prefix", "meta")
 MUTANTS_PER_PROOF = 40
+FILE_MUTANTS_PER_PROOF = 5
 
 
 def queries():
@@ -53,6 +70,11 @@ def queries():
             for family in ((), (Coalition.of(i),), (grand,), coalitions):
                 out.extend((game, i, family, u) for u in xs)
     return out
+
+
+def drawn_queries(rng):
+    qs = queries()
+    return rng.sample(qs, len(qs) // 4)
 
 
 def preorder(tree, path=()):
@@ -164,8 +186,7 @@ def mutate(kind, node, rng):
 
 def test_single_node_mutants_of_emitted_proofs_are_rejected():
     rng = random.Random(9)
-    qs = queries()
-    sample = rng.sample(qs, len(qs) // 4)
+    sample = drawn_queries(rng)
     made, accepted = Counter(), Counter()
     for game, i, family, units in sample:
         proof = emit_proof(game, i, family, PayoffVector.from_units(units, N))
@@ -195,3 +216,103 @@ def test_single_node_mutants_of_emitted_proofs_are_rejected():
     assert sum(made.values()) > 1500
     assert all(made[k] > 100 for k in KINDS), made
     assert accepted["meta"] < made["meta"]
+
+
+# ---------------------------------------------------------------------------
+# proof files
+
+
+def id_sites(obj):
+    """(kind of id, container, key, table of the row holding it) for every
+    id in a proof file object."""
+    for row in obj["formulas"]:
+        for key in ("vector", "left", "right"):
+            if key in row:
+                yield "vector", row, key, "formulas"
+        for key in ("child", "lhs", "rhs"):
+            if key in row:
+                yield "formula", row, key, "formulas"
+        for k in range(len(row.get("members", ()))):
+            yield "formula", row["members"], k, "formulas"
+    for row in obj["sets"]:
+        for k in range(len(row)):
+            yield "formula", row, k, "sets"
+    for node in obj["nodes"]:
+        for side in (node["ante"], node["succ"]):
+            if "base" in side:
+                yield "set", side, "base", "nodes"
+            for k in range(len(side["delta"])):
+                yield "delta", side["delta"], k, "nodes"
+        for key in node.get("meta", {}):
+            if key != "agent":
+                yield "formula", node["meta"], key, "nodes"
+        for k in range(len(node.get("children", ()))):
+            yield "child", node["children"], k, "nodes"
+
+
+def mutate_file(text, rng):
+    """The proof file `text` with one id moved by one or dropped, the change,
+    and the table whose row held the id.  Each kind of id is drawn equally
+    often, whatever its count in the file."""
+    copy = json.loads(text)
+    sites: dict = {}
+    for kind, *site in id_sites(copy):
+        sites.setdefault(kind, []).append(site)
+    kind = rng.choice(sorted(sites))
+    container, key, row_table = rng.choice(sites[kind])
+    change = rng.choice(("+1", "-1", "drop"))
+    if change == "drop":
+        del container[key]
+    else:
+        container[key] += int(change)
+    return json.dumps(copy), (kind, change), row_table
+
+
+def holds(f, true_atoms) -> bool:
+    t = type(f)
+    if t is Ach:
+        return f in true_atoms
+    if t is Geq:
+        return all(GRID_ORACLE(f.left[p - 1], f.right[p - 1]) for p in f.over.members)
+    if t is Not:
+        return not holds(f.child, true_atoms)
+    if t is And:
+        return all(holds(m, true_atoms) for m in f.members)
+    if t is Or:
+        return any(holds(m, true_atoms) for m in f.members)
+    if t is Implies:
+        return not holds(f.lhs, true_atoms) or holds(f.rhs, true_atoms)
+    return holds(f.child, true_atoms)  # Bel: one agent's view of the same model
+
+
+def test_single_index_mutants_of_proof_files_are_handled(tmp_path):
+    rng = random.Random(9)
+    sample = drawn_queries(rng)
+    path = str(tmp_path / "mutant.json")
+    codes, kinds = Counter(), Counter()
+    for game, i, family, units in sample:
+        proof = emit_proof(game, i, family, PayoffVector.from_units(units, N))
+        root = proof.sequent
+        true_atoms = {f for f in root.ante if type(f) is Ach}
+        text = json.dumps(proof_to_obj(proof))
+        for _ in range(FILE_MUTANTS_PER_PROOF):
+            mutant, change, row_table = mutate_file(text, rng)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(mutant)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["check", path])
+            codes[code] += 1
+            kinds[change[0]] += 1
+            assert code in (0, 1, 2), (change, code)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                continue
+            seq = proof_from_obj(load_json(path)).sequent
+            if (seq.prefix, seq.ante, seq.succ) != (root.prefix, root.ante, root.succ):
+                assert row_table in ("formulas", "sets"), (change, row_table)
+                assert not all(holds(f, true_atoms) for f in seq.ante) \
+                    or any(holds(f, true_atoms) for f in seq.succ), change
+    assert sum(codes.values()) == len(sample) * FILE_MUTANTS_PER_PROOF
+    assert codes[1] > 0 and codes[2] > 0, codes
+    assert len(kinds) == 5 and min(kinds.values()) > 20, kinds
