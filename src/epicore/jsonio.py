@@ -192,12 +192,15 @@ def payload_from_obj(obj: Any) -> tuple:
 # Reading builds every formula once and every layered side on the one
 # shared base object, so the kernel runs its delta paths on loaded proofs.
 
-# What a proof file may ask the reader to build.  Emitted proofs and their
-# formulas are at most 7 deep; the largest emitted file (bound 31) sums to
-# 325,421 formula nodes when each row is expanded into a tree.
+# What a proof file may ask the reader to do.  Emitted proofs and their
+# formulas are at most 7 deep.  Beyond reading its own rows, loading and
+# checking a file may cost WORK_PER_ENTRY formula reads per entry (formula
+# row, set member or node row), so that naming a shared row many times
+# cannot make a short file slow to check; emitted files use at most about
+# 2 per entry on every grid.
 MAX_FORMULA_DEPTH = 64
 MAX_PROOF_DEPTH = 64
-MAX_EXPANDED_SIZE = 2_000_000
+WORK_PER_ENTRY = 16
 
 _FORMULA_FIELDS = {
     "ach": ("coalition", "vector"),
@@ -312,10 +315,13 @@ def proof_to_obj(tree: ProofTree) -> dict:
 def proof_from_obj(obj: Any) -> ProofTree:
     _fields(obj, "proof file", ("vectors", "formulas", "sets", "nodes"))
     vectors = [payload_from_obj(v) for v in _array(obj, "vectors")]
-    formulas = _formula_table(_array(obj, "formulas"), vectors)
+    formula_rows, set_rows, rows = (_array(obj, name) for name in ("formulas", "sets", "nodes"))
+    # a set row that is not an array is refused below
+    budget = WORK_PER_ENTRY * (len(formula_rows) + len(rows)
+                               + sum(len(s) for s in set_rows if isinstance(s, list)))
+    formulas, work = _formula_table(formula_rows, vectors, budget)
     sets = [frozenset(formulas[k] for k in _ids(row, formulas, "formula"))
-            for row in _array(obj, "sets")]
-    rows = _array(obj, "nodes")
+            for row in set_rows]
     if not rows:
         raise InvalidInputError("proof has no nodes")
     trees, depth, used = [], [], []
@@ -338,7 +344,12 @@ def proof_from_obj(obj: Any) -> ProofTree:
                              _side(row["ante"], formulas, sets, sides),
                              _side(row["succ"], formulas, sets, sides))
         meta = _meta(row["meta"], formulas) if "meta" in row else None
-        trees.append(ProofTree(seq, rule, tuple(trees[k] for k in kids), meta))
+        premises = tuple(trees[k] for k in kids)
+        work += _node_work(rule, seq, tuple(p.sequent for p in premises), meta)
+        if work > budget:
+            raise InvalidInputError("checking the proof would read more than "
+                                    f"{WORK_PER_ENTRY} formulas per entry of the file")
+        trees.append(ProofTree(seq, rule, premises, meta))
         depth.append(d)
         used.append(False)
     if not all(used[:-1]):
@@ -347,64 +358,69 @@ def proof_from_obj(obj: Any) -> ProofTree:
     return trees[-1]
 
 
-def _formula_table(rows: list, vectors: list) -> list:
-    """The formulas of the table rows.  Every row is checked, and the caps
-    applied, before any formula is built: building a conjunction or
-    disjunction sorts its members on their expanded keys."""
-    recipes, depth, size = [], [], []
-    total = 0
+def _formula_table(rows: list, vectors: list, budget: int) -> tuple[list, int]:
+    """The formulas of the table rows, and the reads spent building them.
+
+    Equal rows become one object, so no equality test walks two copies of
+    a subformula.  Building a conjunction or disjunction sorts its members
+    on their expanded keys, which reads every node of their expansion; a
+    row is refused before it is built if that would pass `budget`.
+    """
+    built, depth, size = [], [], []
+    interned: dict = {}
+    work = 0
     for row in rows:
-        make, kids = _formula_recipe(row, vectors)
-        _ids(kids, recipes, "formula")
-        d = 1 + max((depth[k] for k in kids), default=0)
-        s = 1 + sum(size[k] for k in kids)
-        total += s
-        if d > MAX_FORMULA_DEPTH:
-            raise InvalidInputError(f"formula {len(recipes)} is nested deeper "
-                                    f"than {MAX_FORMULA_DEPTH}")
-        if total > MAX_EXPANDED_SIZE:
-            raise InvalidInputError(f"formulas expand to more than {MAX_EXPANDED_SIZE:,} nodes")
-        recipes.append((make, kids))
+        t = row.get("t") if isinstance(row, dict) else None
+        if not isinstance(t, str) or t not in _FORMULA_FIELDS:
+            raise InvalidInputError(f"formula rows must carry a known tag, got {t!r}")
+        _fields(row, f"{t!r} formula", ("t",) + _FORMULA_FIELDS[t])
+        if t == "ach" or t == "geq":
+            f, d, n = _atom(t, row, vectors), 1, 1
+        else:
+            kids = (_array(row, "members") if t == "and" or t == "or"
+                    else (row["lhs"], row["rhs"]) if t == "implies" else (row["child"],))
+            children = [_ref(built, k, "formula") for k in kids]
+            d = 1 + max((depth[k] for k in kids), default=0)
+            if d > MAX_FORMULA_DEPTH:
+                raise InvalidInputError(f"formula {len(built)} is nested deeper "
+                                        f"than {MAX_FORMULA_DEPTH}")
+            n = 1 + sum(size[k] for k in kids)
+            if t == "and" or t == "or":
+                work += n - 1
+                if work > budget:
+                    raise InvalidInputError(f"formulas expand to more than {WORK_PER_ENTRY} "
+                                            "nodes per entry of the file")
+            f = _compound(t, row, children)
+        built.append(interned.setdefault(f, f))
         depth.append(d)
-        size.append(s)
-    built: list = []
-    for make, kids in recipes:
-        built.append(make([built[k] for k in kids]))
-    return built
+        size.append(n)
+    return built, work
 
 
-def _formula_recipe(row: Any, vectors: list):
-    """(make, child ids) for one formula row: make builds the formula from
-    its children.  Atoms are built here; they have no children."""
-    t = row.get("t") if isinstance(row, dict) else None
-    if not isinstance(t, str) or t not in _FORMULA_FIELDS:
-        raise InvalidInputError(f"formula rows must carry a known tag, got {t!r}")
-    _fields(row, f"{t!r} formula", ("t",) + _FORMULA_FIELDS[t])
+def _atom(t: str, row: dict, vectors: list) -> Formula:
     if t == "ach":
-        atom = Ach(_ref(vectors, row["vector"], "vector"), _coalition(row["coalition"]))
-        return (lambda _: atom), []
-    if t == "geq":
-        left = _ref(vectors, row["left"], "vector")
-        right = _ref(vectors, row["right"], "vector")
-        if len(left) != len(right) or type(left[0]) is not type(right[0]):
-            raise InvalidInputError("geq compares payloads of different shapes")
-        # the kernel reads both payloads at every member of `over`
-        over = _coalition(row["over"])
-        if over.members[-1] > len(left):
-            raise InvalidInputError(f"coalition {over} exceeds the payload length")
-        atom = Geq(left, _coalition(row["left_tag"]), over,
-                   right, _coalition(row["right_tag"]))
-        return (lambda _: atom), []
+        return Ach(_ref(vectors, row["vector"], "vector"), _coalition(row["coalition"]))
+    left = _ref(vectors, row["left"], "vector")
+    right = _ref(vectors, row["right"], "vector")
+    if len(left) != len(right) or type(left[0]) is not type(right[0]):
+        raise InvalidInputError("geq compares payloads of different shapes")
+    # the kernel reads both payloads at every member of `over`
+    over = _coalition(row["over"])
+    if over.members[-1] > len(left):
+        raise InvalidInputError(f"coalition {over} exceeds the payload length")
+    return Geq(left, _coalition(row["left_tag"]), over, right, _coalition(row["right_tag"]))
+
+
+def _compound(t: str, row: dict, children: list) -> Formula:
     if t == "not":
-        return (lambda c: Not(c[0])), [row["child"]]
+        return Not(children[0])
     if t == "and":
-        return And, _array(row, "members")
+        return And(children)
     if t == "or":
-        return Or, _array(row, "members")
+        return Or(children)
     if t == "implies":
-        return (lambda c: Implies(*c)), [row["lhs"], row["rhs"]]
-    agent = _agent(row["agent"])
-    return (lambda c: Bel(agent, c[0])), [row["child"]]
+        return Implies(*children)
+    return Bel(_agent(row["agent"]), children[0])
 
 
 @lru_cache(maxsize=1024)
@@ -415,6 +431,51 @@ def _parse_coalition(text: str) -> Coalition:
 def _coalition(text: Any) -> Coalition:
     # a file names few distinct coalitions, each many times
     return _parse_coalition(text) if isinstance(text, str) else Coalition.parse(text)
+
+
+# rules that look for their principal on a side when no hint names it
+_HINTED = frozenset((Rule.NotLeft, Rule.NotRight, Rule.ImpLeft, Rule.ImpRight,
+                     Rule.AndLeft, Rule.AndRight, Rule.OrLeft, Rule.OrRight))
+# rules whose check reads whole sides
+_WHOLE = frozenset((Rule.Cut, Rule.EpistemicDist))
+# rules that pick one member of their principal
+_PICKS = frozenset((Rule.AndLeft, Rule.OrRight))
+
+
+def _node_work(rule: Rule, seq: ThoughtSequent, premises: tuple, meta) -> int:
+    """A bound on the formulas the kernel reads at one node beyond the
+    rows the file spells out for it.
+
+    The kernel stays on the deltas while the based sides at each position
+    share one base and the rule is hinted and takes no formula out of a
+    base (logic._candidates_minus).  Otherwise it may read every base once
+    per sequent, and once per candidate principal when unhinted.  AndLeft
+    and OrRight also scan their principal's members, a row that many nodes
+    may share.
+    """
+    if not premises:
+        # axioms compare sides of at most one formula
+        return 0
+    p = meta.principal if meta is not None else None
+    work = len(p.members) if rule in _PICKS and isinstance(p, (And, Or)) else 0
+    seqs = (seq,) + premises
+    bases: dict = {}
+    mixed = False
+    for name in ("ante", "succ"):
+        here = {id(b): b for b in (getattr(s, name).base for s in seqs) if b is not None}
+        mixed = mixed or len(here) > 1
+        bases.update(here)
+    if not bases:
+        return work
+    taken = (p if rule is Rule.AndRight or rule is Rule.OrLeft
+             else getattr(p, "rhs", None) if rule is Rule.ImpRight else None)
+    unhinted = ((rule in _HINTED and p is None)
+                or (rule is Rule.Cut and (meta is None or meta.cut is None)))
+    if mixed or unhinted or rule in _WHOLE or (
+            taken is not None and any(taken in b for b in bases.values())):
+        total = sum(map(len, bases.values()))
+        work += len(seqs) * total * (total if unhinted else 1)
+    return work
 
 
 def _side(obj: Any, formulas: list, sets: list, interned: dict) -> FormulaSet:

@@ -347,6 +347,20 @@ def _old_nested_file():
             "rule": "NonLogicalAxiom", "children": []}
 
 
+def _shared_base_split(size):
+    # an OrLeft root whose principal sits in a shared base of `size` atoms,
+    # over `size` premises: the kernel would rebuild the base per premise
+    formulas = [{"t": "ach", "coalition": "1", "vector": i} for i in range(2 * size)]
+    formulas.append({"t": "or", "members": list(range(size, 2 * size))})
+    nodes = [{"prefix": [], "ante": {"base": 0, "delta": [size + j]}, "succ": {"delta": []},
+              "rule": "Th"} for j in range(size)]
+    nodes.append({"prefix": [], "ante": {"base": 0, "delta": []}, "succ": {"delta": []},
+                  "rule": "OrLeft", "meta": {"principal": 2 * size},
+                  "children": list(range(size))})
+    return {"vectors": [[str(i)] for i in range(2 * size)], "formulas": formulas,
+            "sets": [list(range(size)) + [2 * size]], "nodes": nodes}
+
+
 @pytest.mark.parametrize("obj, reason", [
     (_axiom_file([_GEQ, {"t": "not", "child": 1}]), "formula id 1 is not an earlier row"),
     (_axiom_file([{"t": "not", "child": -1}]), "formula id -1"),
@@ -374,16 +388,29 @@ def _old_nested_file():
     (_formula_chain(lambda last, nxt: [{"t": "not", "child": last},
                                        {"t": "and", "members": [last, nxt]}], 40),
      "expand to more than"),
+    (_shared_base_split(8000), "read more than 16 formulas per entry"),
 ], ids=["formula-self-reference", "formula-id-negative", "vector-id-past-end",
         "vector-id-bool", "set-id-past-end", "set-row-formula-past-end",
         "delta-id-past-end", "child-not-earlier", "child-of-two-nodes",
         "child-twice-in-one-node", "two-roots", "no-nodes", "unknown-top-field",
         "unknown-formula-field", "unknown-node-field", "unknown-side-field",
         "unknown-meta-field", "old-nested-format", "formula-too-deep",
-        "proof-too-deep", "formulas-expand-too-far"])
+        "proof-too-deep", "formulas-expand-too-far", "base-read-per-premise"])
 def test_check_rejects_hostile_tables(obj, reason, tmp_path, capsys):
     code, _, err, elapsed = _run_check(obj, tmp_path, capsys)
     _expect_one_error_line(code, err, elapsed, reason)
+
+
+def test_check_reads_equal_rows_as_one_formula(tmp_path, capsys):
+    # two copies of the chain f <- Implies(f, f), 22 steps each: compared
+    # node by node, the copies would walk 2^22 nodes, some seconds
+    rows = [_GEQ, _GEQ]
+    for _ in range(44):
+        rows.append({"t": "implies", "lhs": len(rows) - 2, "rhs": len(rows) - 2})
+    obj = _axiom_file(rows, rule="LogicalAxiom", ante=[len(rows) - 2])
+    code, out, _, elapsed = _run_check(obj, tmp_path, capsys)
+    assert code == 0 and out.startswith("ok: ")
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command", ["check", "core"])

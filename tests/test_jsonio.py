@@ -13,11 +13,15 @@ from fractions import Fraction
 
 from epicore import (
     Coalition,
+    acceptability,
     InvalidInputError,
     PayoffVector,
     TUGame,
+    decide,
     emit_proof,
 )
+from epicore.acceptability import MAX_GRID_VECTORS
+from epicore.games import all_coalitions
 from epicore.jsonio import (
     allocation_to_obj,
     dump_json,
@@ -37,6 +41,7 @@ from epicore.jsonio import (
 )
 from epicore.logic import (
     EMPTY_SET,
+    GRID_ORACLE,
     Ach,
     FormulaSet,
     Geq,
@@ -44,6 +49,7 @@ from epicore.logic import (
     ProofTree,
     Rule,
     ThoughtSequent,
+    check_proof,
     strict_gain,
 )
 from epicore.replica import Allocation, EdgeworthEconomy, ReplicaEconomy
@@ -306,6 +312,26 @@ def test_proof_round_trip_is_stable():
     obj = proof_to_obj(proof)
     again = proof_to_obj(proof_from_obj(obj))
     assert json.dumps(obj, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+@pytest.mark.parametrize("n, bound", [(3, 8), (4, 2)])
+def test_largest_grid_rejection_proofs_reload(n, bound):
+    # the largest grids the size guard admits for 3 and 4 players: every
+    # proof `prove` can write there must load again
+    assert (bound * n + 1) ** n <= MAX_GRID_VECTORS < ((bound + 1) * n + 1) ** n
+    grand = all_coalitions(n)[-1]
+    g = TUGame.from_values(n, {str(s): (bound - 1 if s == grand else 0)
+                               for s in all_coalitions(n)}, bound=bound)
+    x = PayoffVector.of(*[0] * n)
+    assert not decide(g, 1, [grand], x).acceptable
+    try:
+        proof = emit_proof(g, 1, [grand], x)
+        reloaded = proof_from_obj(proof_to_obj(proof))
+        assert reloaded.sequent.ante == proof.sequent.ante
+        assert reloaded.sequent.succ == proof.sequent.succ
+        assert check_proof(reloaded, GRID_ORACLE).ok
+    finally:
+        acceptability._purge_spaces()
 
 
 def test_proof_from_obj_rejects_unknown_rule():
