@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import repeat
 from operator import ge, is_
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -257,6 +258,12 @@ class Bel(Formula):
         return f"Bel({self.agent}, {self.child!r})"
 
 
+@lru_cache(maxsize=64)
+def _singleton(player: int) -> Coalition:
+    # emitters build one strict gain per disjunct; share each player's tag
+    return Coalition((player,))
+
+
 def strict_gain(left, left_tag: Coalition, player: int, right, right_tag: Coalition) -> And:
     """The strict comparison abbreviation for a single player.
 
@@ -264,7 +271,7 @@ def strict_gain(left, left_tag: Coalition, player: int, right, right_tag: Coalit
     (right >= left at player).  Member order below is already canonical
     (Geq sorts before Not).
     """
-    over = Coalition.of(player)
+    over = _singleton(player)
     return And._presorted((
         Geq(left, left_tag, over, right, right_tag),
         Not(Geq(right, right_tag, over, left, left_tag)),

@@ -95,6 +95,10 @@ def utility_compare(utility: str, a: Sequence, b: Sequence) -> int:
 
 
 def _as_bundle(raw) -> Bundle:
+    # a pair of non-negative Fractions already is a bundle: keep it shared
+    if (type(raw) is tuple and len(raw) == 2 and type(raw[0]) is Fraction
+            and type(raw[1]) is Fraction and raw[0] >= 0 and raw[1] >= 0):
+        return raw
     try:
         pair = tuple(Fraction(c) for c in raw)
     except (TypeError, ValueError):
@@ -352,7 +356,7 @@ def econ_dominates(economy: ReplicaEconomy, y: Allocation, x: Allocation, S) -> 
 
 
 class _Tables:
-    __slots__ = ("max_units", "rank", "_pair", "_upper")
+    __slots__ = ("max_units", "rank", "_pair", "_need", "_upper")
 
     def __init__(self, max_units: int):
         self.max_units = max_units
@@ -369,6 +373,7 @@ class _Tables:
             rank[m] = r
         self.rank = rank
         self._pair = {}
+        self._need = {}
         self._upper = {}
 
     def pair(self, res: tuple[int, int]):
@@ -439,6 +444,19 @@ class _Tables:
         if j < len(avals) and bvals[j] >= q:
             return splits[j]
         return None
+
+    def pair_need(self, res) -> tuple[int, ...]:
+        """For each first-member rank p, the least second-member rank q
+        that `pair_strict(res, p, q)` leaves unblocked.  Blocked profiles
+        form a down-set, so the table is non-increasing in p."""
+        need = self._need.get(res)
+        if need is None:
+            levels = range(max(self.rank.values()) + 2)
+            need = self._need[res] = tuple(
+                bisect_left(levels, True,
+                            key=lambda q: self.pair_strict(res, p, q) is None)
+                for p in levels[:-1])
+        return need
 
     def upper_min(self, target: int) -> tuple:
         """Componentwise-minimal grid bundles with rank >= target."""
@@ -687,7 +705,7 @@ def _core_k1(plan: _Coalitions):
                 continue
             if plan.blocked(ranks, skip_singles=prefilter) is not None:
                 continue
-            out.append(Allocation((_frac((m1, m2), den), _frac(other, den))))
+            out.append(_allocation(((m1, m2), other), den))
     return out
 
 
@@ -697,6 +715,13 @@ def _core_k2(plan: _Coalitions):
     total = 2 * den
     prefilter = set(plan.singles) == {1, 2, 3, 4}
     e = plan.endow_rank
+    # The four mixed pairs {(1,t),(2,u)} all split (D, D) on one staircase,
+    # so together they leave ranks (r1, r2, r3, r4) unblocked exactly when
+    # min(r3, r4) >= need[min(r1, r2)] (need is non-increasing).
+    if {(1, 3), (1, 4), (2, 3), (2, 4)} <= set(plan.larger):
+        need = plan.tables.pair_need((den, den))
+    else:
+        need = [0] * len(rank)
     pool = [((m1, m2), rank[(m1, m2)])
             for m1 in range(total + 1) for m2 in range(total + 1)
             if not prefilter or rank[(m1, m2)] >= e]
@@ -705,25 +730,49 @@ def _core_k2(plan: _Coalitions):
         for (b2, r2) in pool:
             s = (b1[0] + b2[0], b1[1] + b2[1])
             if s[0] <= total and s[1] <= total:
-                by_sum.setdefault(s, []).append((b1, b2, r1, r2))
+                by_sum.setdefault(s, []).append((min(r1, r2), r1, r2, b1, b2))
+    for plist in by_sum.values():
+        plist.sort(reverse=True)
     blocked = plan.blocked
     out = []
     for s, plist in by_sum.items():
-        comp = (total - s[0], total - s[1])
-        qlist = by_sum.get(comp)
+        qlist = by_sum.get((total - s[0], total - s[1]))
         if not qlist:
             continue
-        for b1, b2, r1, r2 in plist:
-            for b3, b4, r3, r4 in qlist:
+        for low, r1, r2, b1, b2 in plist:
+            floor = need[low]
+            for low2, r3, r4, b3, b4 in qlist:
+                if low2 < floor:
+                    break
                 if blocked((r1, r2, r3, r4), skip_singles=prefilter) is not None:
                     continue
-                out.append(Allocation((_frac(b1, den), _frac(b2, den),
-                                       _frac(b3, den), _frac(b4, den))))
+                out.append(_allocation((b1, b2, b3, b4), den))
     return out
 
 
-def _frac(units: tuple[int, int], den: int) -> Bundle:
+# Repeated queries share their grid objects: one bundle per unit pair (at
+# most 17^2 per denominator under the size guard), core member and atom.
+@lru_cache(maxsize=None)
+def _bundle(units: tuple[int, int], den: int) -> Bundle:
     return (Fraction(units[0], den), Fraction(units[1], den))
+
+
+@lru_cache(maxsize=4096)
+def _allocation(units: tuple, den: int) -> Allocation:
+    return Allocation(tuple(_bundle(u, den) for u in units))
+
+
+@lru_cache(maxsize=4096)
+def _rejection(k: int, idxs: tuple[int, ...], units: tuple, den: int):
+    """The atom that coalition idxs achieves these member unit bundles
+    (everyone else gets nothing), and the witness (sigma, {atom}) for each
+    member j who may be the strict gainer sigma."""
+    y_vec = [_bundle((0, 0), den)] * (2 * k)
+    for j, u in zip(idxs, units):
+        y_vec[j - 1] = _bundle(u, den)
+    ach = Ach(tuple(y_vec), Coalition(idxs))
+    atoms = frozenset({ach})
+    return ach, {j: ((1, j) if j <= k else (2, j - k), atoms) for j in idxs}
 
 
 # ---------------------------------------------------------------------------
@@ -749,21 +798,17 @@ def partial_knowledge_witness(economy: ReplicaEconomy, x: Allocation):
     if idxs is None:
         return None
     # a singleton's decoded bundle is its endowment
-    return _certify(economy, x, idxs,
-                    tuple(_frac(u, plan.den) for u in plan.bundles(idxs, ranks)))
+    return _certify(economy, x, idxs, *_rejection(
+        economy.k, idxs, plan.bundles(idxs, ranks), plan.den))
 
 
 def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
-             member_bundles: tuple):
-    """Build the rejection atom and re-check its derivation with the kernel."""
+             ach: Ach, witnesses: dict):
+    """Re-check the rejection atom's derivation with the kernel."""
     n = 2 * economy.k
-    zero = (Fraction(0), Fraction(0))
-    y_vec = [zero] * n
-    for pos, j in enumerate(idxs):
-        y_vec[j - 1] = member_bundles[pos]
-    y_vec = tuple(y_vec)
-    x_vec = tuple(x.bundles)
-    tag = Coalition(idxs)
+    y_vec = ach.vector
+    x_vec = x.bundles
+    tag = ach.coalition
     grand = Coalition(tuple(range(1, n + 1)))
 
     sigma_idx = None
@@ -774,7 +819,6 @@ def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
     if sigma_idx is None:
         raise VerificationFailure("blocking candidate has no strict gainer")
 
-    ach = Ach(y_vec, tag)
     witness = And((ach, Geq(y_vec, tag, tag, x_vec, grand),
                    strict_gain(y_vec, tag, sigma_idx, x_vec, grand)))
     root = witness_derivation((sigma_idx,), FormulaSet.of((ach,)), witness)
@@ -782,7 +826,4 @@ def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
     if not res.ok:
         raise VerificationFailure(
             f"rejection derivation failed kernel check: {res.reason}")
-
-    k = economy.k
-    sigma = (1, sigma_idx) if sigma_idx <= k else (2, sigma_idx - k)
-    return sigma, frozenset({ach})
+    return witnesses[sigma_idx]

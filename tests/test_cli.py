@@ -7,6 +7,7 @@ verification failure, 3 unsupported size).
 """
 
 import csv
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -572,6 +573,16 @@ def test_replica_json_payload(econ_path, tmp_path, capsys):
     assert len(payload["effective_coalitions"]) == 11
     assert payload["knowledge_growth"] == {"count": 11, "average": "11/4"}
     assert payload["grid_core"] == [[["1/2", "1/2"]] * 4]
+
+
+def test_replica_json_payload_is_pinned(econ_path, tmp_path, capsys):
+    # the grid core enumeration must not change a byte of the -o file
+    for k, digest in ((1, "6b3e3964f35d2c3fd59a7c5e8fb148b19bc75772c9b4948c0e4569d6751d1373"),
+                      (2, "d1ed99117c11d3ec966ac365630bd53c7ba84f0680e37d603db3ca0cd7f009ba")):
+        out_file = tmp_path / f"rep{k}.json"
+        assert main(["replica", econ_path, "-k", str(k), "-o", str(out_file)]) == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, k
+    capsys.readouterr()
 
 
 def test_replica_csv_export(econ_path, tmp_path, capsys):

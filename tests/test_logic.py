@@ -33,6 +33,7 @@ from epicore.logic import (
     is_logical_axiom,
     is_nonlogical_axiom,
     rule_instance_valid,
+    strict_gain,
 )
 
 C1 = Coalition.of(1)
@@ -63,6 +64,15 @@ def test_formula_equality_and_hash():
     assert And([P, Q]) != Or([P, Q])
     assert Implies(P, Q) != Implies(Q, P)
     assert Bel(1, P) != Bel(2, P)
+
+
+def test_strict_gain_shares_the_singleton_but_keeps_its_keys():
+    spelled = And([Geq((2, 1), C12, C1, (1, 0), C12),
+                   Not(Geq((1, 0), C12, C1, (2, 1), C12))])
+    a = strict_gain((2, 1), C12, 1, (1, 0), C12)
+    b = strict_gain((3, 0), C12, 1, (1, 0), C12)
+    assert a == spelled and hash(a) == hash(spelled) and a.key() == spelled.key()
+    assert a.members[0].over is b.members[0].over == C1
 
 
 def test_connectives_reject_empty():

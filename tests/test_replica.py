@@ -19,6 +19,7 @@ from _oracles import brute_grid_core, ces_cmp_units
 from epicore import (
     InvalidInputError,
     UnsupportedSizeError,
+    VerificationFailure,
     econ_dominates,
     effective_coalitions,
     grid_core,
@@ -26,7 +27,7 @@ from epicore import (
     partial_knowledge_witness,
     utility_compare,
 )
-from epicore.logic import Ach, check_proof
+from epicore.logic import Ach, CheckResult, check_proof
 from epicore.replica import (
     UTILITY_ORACLE,
     Allocation,
@@ -313,6 +314,84 @@ def test_grid_core_size_guards():
         grid_core(econ(8, 2), exhaustive=True)
 
 
+# ---------------------------------------------------------------------------
+# the k = 2 enumeration skips allocations a mixed pair blocks
+
+
+NO_TRIPLES = [s for s in effective_coalitions(2) if len(s) != 3]
+# (effective family, triples withheld) core sizes at k = 2 by D; the D <= 5
+# entries are brute_grid_core's, the rest are pinned
+K2_CORE_SIZES = {1: (6, 6), 2: (1, 1), 3: (6, 8), 4: (1, 15),
+                 5: (8, 20), 6: (1, 15), 7: (8, 22), 8: (1, 29)}
+
+
+def test_pair_need_is_the_least_unblocked_rank():
+    from epicore.replica import _tables
+    for den in range(1, 9):
+        t = _tables(2 * den)
+        res = (den, den)
+        levels = max(t.rank.values()) + 1
+        splits = [(t.rank[(a, b)], t.rank[(den - a, den - b)])
+                  for a in range(den + 1) for b in range(den + 1)]
+
+        def blocked(p, q):
+            return any(x >= p and y >= q and (x > p or y > q) for x, y in splits)
+
+        need = t.pair_need(res)
+        assert len(need) == levels
+        for p, q in enumerate(need):
+            assert q == next(q for q in range(levels + 1)
+                             if t.pair_strict(res, p, q) is None)
+            assert not blocked(p, q) and (q == 0 or blocked(p, q - 1))
+        assert all(a >= b for a, b in zip(need, need[1:])), den
+
+
+def test_k2_core_sizes_are_pinned():
+    for den, sizes in K2_CORE_SIZES.items():
+        e = econ(den, 2)
+        assert (len(grid_core(e)), len(grid_core(e, coalitions=NO_TRIPLES))) == sizes
+
+
+def test_unpruned_path_agrees_with_brute_enumeration():
+    # without the mixed pair {(1,2),(2,1)} the prune is off
+    fam = [s for s in effective_coalitions(2) if s != frozenset({(1, 2), (2, 1)})]
+    idxs = [(1,), (2,), (3,), (4,), (1, 3), (1, 4), (2, 4),
+            (1, 2, 3), (1, 3, 4), (1, 2, 3, 4)]
+    for den in (2, 3):
+        pkg = units_of(grid_core(econ(den, 2), coalitions=fam), den)
+        assert pkg == set(brute_grid_core(2, den, coalitions=idxs)), den
+
+
+def test_k2_d8_tests_only_the_prune_survivors(monkeypatch):
+    # the full family test runs on the 29 allocations no mixed pair blocks,
+    # not on all 116,053 individually rational ones
+    from epicore.replica import _Coalitions
+    calls = []
+    blocked = _Coalitions.blocked
+    monkeypatch.setattr(_Coalitions, "blocked",
+                        lambda self, *a, **kw: calls.append(1) or blocked(self, *a, **kw))
+    for fam in (None, NO_TRIPLES):
+        calls.clear()
+        grid_core(econ(8, 2), coalitions=fam)
+        assert len(calls) <= 29
+
+
+def test_repeated_cores_share_their_allocations():
+    first = grid_core(econ(8, 2), coalitions=NO_TRIPLES)
+    second = grid_core(econ(8, 2), coalitions=NO_TRIPLES)
+    assert first == second
+    assert {id(a) for a in first} == {id(a) for a in second}
+
+
+def test_allocation_keeps_fraction_pairs_and_validates_the_rest():
+    b = (F(1, 2), F(0))
+    assert Allocation([b]).bundles[0] is b
+    for bad in ((F(-1), F(0)), (F(0), F(-1, 2)), (F(1),), (F(1), F(0), F(0)),
+                (F(1), None), (F(1), "x")):
+        with pytest.raises(InvalidInputError):
+            Allocation([bad])
+
+
 def _k1_dominated(e, x):
     """Brute domination check for k = 1 through econ_dominates alone."""
     den = e.base.grid_denominator
@@ -471,6 +550,23 @@ def test_witness_atoms_certify_a_checked_proof():
     atom = next(iter(atoms))
     y = Allocation(atom.vector)
     assert econ_dominates(e, y, x, atom.coalition.members)
+
+
+def test_witness_is_kernel_checked_on_every_call(monkeypatch):
+    from epicore import replica
+    calls = []
+    check = replica.check_proof
+    monkeypatch.setattr(replica, "check_proof",
+                        lambda *a: calls.append(1) or check(*a))
+    x = Allocation(F_ALLOCATION)
+    first = partial_knowledge_witness(econ(8, 2), x)
+    second = partial_knowledge_witness(econ(8, 2), x)
+    assert first == second and first[1] is second[1]
+    assert len(calls) == 2
+    monkeypatch.setattr(replica, "check_proof",
+                        lambda *a: CheckResult(False, (), "refused"))
+    with pytest.raises(VerificationFailure, match="refused"):
+        partial_knowledge_witness(econ(8, 2), x)
 
 
 def test_witness_respects_equilibrium():
