@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .acceptability import _atom_space, _Emitter, _purge_spaces, decide
 from .errors import VerificationFailure
 from .games import PayoffVector, TUGame, all_coalitions
-from .logic import GRID_ORACLE, ChainCache, Not, check_proof
+from .logic import GRID_ORACLE, ChainCache, Not, check_proof, collector_paused
 
 
 @dataclass
@@ -132,18 +132,13 @@ def verify_all_queries(n: int = 2, max_worth: int = 6,
                 for size in range(len(coalitions) + 1)
                 for fam in itertools.combinations(coalitions, size)]
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         for top in range(max_worth + 1):
             _verify_group(n, top, coalitions, families, stats)
             _purge_spaces()
             gc.collect()
             if fail_fast and stats.failures:
                 break
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     stats.seconds = time.perf_counter() - t0
     if stats.failures:
         raise VerificationFailure(

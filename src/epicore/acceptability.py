@@ -113,6 +113,11 @@ class KnowledgeProfile:
 # Knowledge sets and proofs hold formulas for every vector of the payoff
 # grid; the README's bound-31 example has 3,969 of them.
 MAX_GRID_VECTORS = 20_000
+# Gamma holds an atom or its negation for every grid vector and coalition:
+# 25^3 vectors x 7 coalitions at 3 players and bound 8, whose acceptable
+# proof already peaks at 1.6 GB.  5 players at bound 1 (7,776 x 31) peak at
+# 3.3 GB, too close to an out-of-memory kill.
+MAX_GAMMA = 109_375
 
 
 class _AtomSpace:
@@ -146,10 +151,16 @@ class _AtomSpace:
         """The full payoff grid in units of 1/n, lexicographic order."""
         if self._vectors is None:
             side = self.bound * self.n + 1
-            if side ** self.n > MAX_GRID_VECTORS:
+            count = side ** self.n
+            if count > MAX_GRID_VECTORS:
                 raise UnsupportedSizeError(
                     f"the payoff grid has {side}^{self.n} vectors; knowledge sets "
                     f"and proofs are guarded to {MAX_GRID_VECTORS:,}")
+            if count * len(self.tags) > MAX_GAMMA:
+                raise UnsupportedSizeError(
+                    f"the knowledge set would hold {side}^{self.n} vectors x "
+                    f"{len(self.tags)} coalitions = {count * len(self.tags):,} "
+                    f"formulas; it is guarded to {MAX_GAMMA:,}")
             self._vectors = tuple(itertools.product(range(side), repeat=self.n))
         return self._vectors
 

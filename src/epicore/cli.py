@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .acceptability import KnowledgeProfile, decide, emit_proof, parse_family
@@ -43,7 +44,7 @@ from .jsonio import (
     rational_from_str,
     rational_to_str,
 )
-from .logic import GRID_ORACLE, check_proof
+from .logic import GRID_ORACLE, check_proof, collector_paused
 from .replica import (
     UTILITY_ORACLE,
     ReplicaEconomy,
@@ -245,6 +246,11 @@ def _cmd_replica(args) -> int:
     return 0
 
 
+# the proof commands: their formulas, proof trees and JSON rows hold no
+# reference cycles, so they run with the cyclic collector paused
+_ACYCLIC = frozenset((_cmd_prove, _cmd_check))
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -316,7 +322,8 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        with collector_paused() if args.func in _ACYCLIC else nullcontext():
+            return args.func(args)
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedSizeError
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,11 @@ def core_membership(game: TUGame, x: PayoffVector) -> bool:
     return all(x.coalition_sum(s) >= v for s, v in game.items())
 
 
+# The integer core is searched over every split of v(N) into n non-negative
+# integers, C(v(N) + n - 1, n - 1) of them at 20 to 100 us each.
+MAX_CORE_CANDIDATES = 20_000
+
+
 def enumerate_integer_core(game: TUGame) -> tuple[PayoffVector, ...]:
     """All integer payoff vectors in the core, in lexicographic order.
 
@@ -233,6 +239,11 @@ def enumerate_integer_core(game: TUGame) -> tuple[PayoffVector, ...]:
     and sum to v(N).
     """
     n, total = game.n, game.v(game.grand)
+    candidates = comb(total + n - 1, n - 1)
+    if candidates > MAX_CORE_CANDIDATES:
+        raise UnsupportedSizeError(
+            f"v(N) = {total} splits {candidates:,} ways among {n} players; the "
+            f"integer core is searched over at most {MAX_CORE_CANDIDATES:,}")
     sums = [(s, v) for s, v in game.items()]
     out = []
 

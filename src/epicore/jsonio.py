@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
-from typing import Any
+from typing import Any, Optional
 
 from .errors import InvalidInputError
 from .games import Coalition, TUGame
@@ -49,6 +48,10 @@ def rational_from_str(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise InvalidInputError(f"expected a rational string, got {text!r}")
+    if "e" in text or "E" in text:
+        # exact rationals need no exponent, and 1e999999999 would expand to
+        # an integer of a billion digits
+        raise InvalidInputError(f"bad rational: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -154,7 +157,9 @@ def payload_to_obj(vec: tuple) -> list:
     return [[rational_to_str(c) for c in bundle] for bundle in vec]
 
 
-def payload_from_obj(obj: Any) -> tuple:
+def payload_from_obj(obj: Any, grid: Optional[dict] = None) -> tuple:
+    """A payload from its JSON array.  `grid` memoizes the units of each
+    entry text by payload length, across the vectors of one file."""
     if not isinstance(obj, list) or not obj:
         raise InvalidInputError("vector must be a nonempty array")
     if isinstance(obj[0], list):
@@ -165,12 +170,18 @@ def payload_from_obj(obj: Any) -> tuple:
             out.append(tuple(rational_from_str(c) for c in bundle))
         return tuple(out)
     n = len(obj)
+    memo = {} if grid is None else grid.setdefault(n, {})
     units = []
     for s in obj:
-        q = rational_from_str(s) * n
-        if q.denominator != 1 or q < 0:
-            raise InvalidInputError(f"entry {s!r} is off the 1/{n} grid")
-        units.append(int(q))
+        u = memo.get(s) if type(s) is str else None
+        if u is None:
+            q = rational_from_str(s) * n
+            if q.denominator != 1 or q < 0:
+                raise InvalidInputError(f"entry {s!r} is off the 1/{n} grid")
+            u = int(q)
+            if type(s) is str:
+                memo[s] = u
+        units.append(u)
     return tuple(units)
 
 
@@ -211,7 +222,18 @@ _FORMULA_FIELDS = {
     "implies": ("lhs", "rhs"),
     "bel": ("agent", "child"),
 }
+# each row's exact field set, and the tag that starts its formula's key()
+_ACH, _GEQ, _NOT, _AND, _OR, _IMPLIES, _BEL = range(7)
+_FORMULA_SHAPES = {t: (frozenset(("t",) + names), tag)
+                   for tag, (t, names) in enumerate(_FORMULA_FIELDS.items())}
+_JUNCTIONS = {_AND: And, _OR: Or}
 _META_FORMULAS = ("principal", "member", "cut")
+_NODE_REQUIRED = ("prefix", "ante", "succ", "rule")
+_NODE_OPTIONAL = ("meta", "children")
+# the same field lists as sets, for one comparison per row
+_META_SET = frozenset(_META_FORMULAS + ("agent",))
+_NODE_SETS = frozenset(_NODE_REQUIRED), frozenset(_NODE_REQUIRED + _NODE_OPTIONAL)
+_RULES = {rule.value: rule for rule in Rule}
 
 
 class _Tables:
@@ -225,6 +247,8 @@ class _Tables:
         self._vector_ids: dict = {}
         self._formula_ids: dict = {}
         self._set_ids: dict = {}
+        # coalitions of the tree being written, which outlive the writer
+        self._names: dict = {}   # id(Coalition) -> its file key
 
     def vector(self, vec: tuple) -> int:
         k = self._vector_ids.get(vec)
@@ -241,15 +265,22 @@ class _Tables:
             self.formulas.append(row)
         return k
 
+    def _name(self, c: Coalition) -> str:
+        name = self._names.get(id(c))
+        if name is None:
+            name = self._names[id(c)] = str(c)
+        return name
+
     def _formula_row(self, f: Formula) -> dict:
         t = type(f)
         if t is Ach:
-            return {"t": "ach", "coalition": str(f.coalition), "vector": self.vector(f.vector)}
+            return {"t": "ach", "coalition": self._name(f.coalition),
+                    "vector": self.vector(f.vector)}
         if t is Geq:
             return {"t": "geq",
-                    "left": self.vector(f.left), "left_tag": str(f.left_tag),
-                    "over": str(f.over),
-                    "right": self.vector(f.right), "right_tag": str(f.right_tag)}
+                    "left": self.vector(f.left), "left_tag": self._name(f.left_tag),
+                    "over": self._name(f.over),
+                    "right": self.vector(f.right), "right_tag": self._name(f.right_tag)}
         if t is Not:
             return {"t": "not", "child": self.formula(f.child)}
         if t is And or t is Or:
@@ -282,6 +313,7 @@ class _Tables:
 
 def proof_to_obj(tree: ProofTree) -> dict:
     tables = _Tables()
+    formula, side = tables.formula, tables.side
     order, stack = [], [tree]
     while stack:
         node = stack.pop()
@@ -292,12 +324,17 @@ def proof_to_obj(tree: ProofTree) -> dict:
     nodes, waiting = [], []
     for node in reversed(order):
         seq = node.sequent
-        row = {"prefix": list(seq.prefix), "ante": tables.side(seq.ante),
-               "succ": tables.side(seq.succ), "rule": node.rule.value}
+        row = {"prefix": list(seq.prefix), "ante": side(seq.ante),
+               "succ": side(seq.succ), "rule": node.rule.value}
         meta = node.meta
         if meta is not None:
-            hints = {name: tables.formula(getattr(meta, name)) for name in _META_FORMULAS
-                     if getattr(meta, name) is not None}
+            hints = {}
+            if meta.principal is not None:
+                hints["principal"] = formula(meta.principal)
+            if meta.member is not None:
+                hints["member"] = formula(meta.member)
+            if meta.cut is not None:
+                hints["cut"] = formula(meta.cut)
             if meta.agent is not None:
                 hints["agent"] = meta.agent
             if hints:
@@ -314,41 +351,51 @@ def proof_to_obj(tree: ProofTree) -> dict:
 
 def proof_from_obj(obj: Any) -> ProofTree:
     _fields(obj, "proof file", ("vectors", "formulas", "sets", "nodes"))
-    vectors = [payload_from_obj(v) for v in _array(obj, "vectors")]
+    grid: dict = {}
+    vectors = [payload_from_obj(v, grid) for v in _array(obj, "vectors")]
     formula_rows, set_rows, rows = (_array(obj, name) for name in ("formulas", "sets", "nodes"))
     # a set row that is not an array is refused below
     budget = WORK_PER_ENTRY * (len(formula_rows) + len(rows)
                                + sum(len(s) for s in set_rows if isinstance(s, list)))
     formulas, work = _formula_table(formula_rows, vectors, budget)
-    sets = [frozenset(formulas[k] for k in _ids(row, formulas, "formula"))
+    sets = [frozenset(map(formulas.__getitem__, _ids(row, formulas, "formula")))
             for row in set_rows]
     if not rows:
         raise InvalidInputError("proof has no nodes")
     trees, depth, used = [], [], []
     sides: dict = {}
+    required, allowed = _NODE_SETS
     for row in rows:
-        _fields(row, "proof node", ("prefix", "ante", "succ", "rule"), ("meta", "children"))
-        try:
-            rule = Rule(row["rule"])
-        except ValueError:
-            raise InvalidInputError(f"unknown rule tag: {row['rule']!r}") from None
-        kids = _ids(row.get("children", []), trees, "node")
+        if not (isinstance(row, dict) and required <= row.keys() <= allowed):
+            _fields(row, "proof node", _NODE_REQUIRED, _NODE_OPTIONAL)
+        rule = row["rule"]
+        rule = _RULES.get(rule) if isinstance(rule, str) else None
+        if rule is None:
+            raise InvalidInputError(f"unknown rule tag: {row['rule']!r}")
+        kids = _ids(row["children"], trees, "node") if "children" in row else ()
+        d = 0
         for k in kids:
             if used[k]:
                 raise InvalidInputError(f"node {k} is a child twice")
             used[k] = True
-        d = 1 + max((depth[k] for k in kids), default=0)
+            if depth[k] > d:
+                d = depth[k]
+        d += 1
         if d > MAX_PROOF_DEPTH:
             raise InvalidInputError(f"proof is deeper than {MAX_PROOF_DEPTH} nodes")
-        seq = ThoughtSequent(tuple(map(_agent, _array(row, "prefix"))),
-                             _side(row["ante"], formulas, sets, sides),
+        prefix = _array(row, "prefix")
+        for a in prefix:
+            if type(a) is not int or a < 1:
+                _agent(a)
+        seq = ThoughtSequent(prefix, _side(row["ante"], formulas, sets, sides),
                              _side(row["succ"], formulas, sets, sides))
         meta = _meta(row["meta"], formulas) if "meta" in row else None
-        premises = tuple(trees[k] for k in kids)
-        work += _node_work(rule, seq, tuple(p.sequent for p in premises), meta)
-        if work > budget:
-            raise InvalidInputError("checking the proof would read more than "
-                                    f"{WORK_PER_ENTRY} formulas per entry of the file")
+        premises = tuple(map(trees.__getitem__, kids))
+        if premises:
+            work += _node_work(rule, seq, premises, meta)
+            if work > budget:
+                raise InvalidInputError("checking the proof would read more than "
+                                        f"{WORK_PER_ENTRY} formulas per entry of the file")
         trees.append(ProofTree(seq, rule, premises, meta))
         depth.append(d)
         used.append(False)
@@ -362,75 +409,135 @@ def _formula_table(rows: list, vectors: list, budget: int) -> tuple[list, int]:
     """The formulas of the table rows, and the reads spent building them.
 
     Equal rows become one object, so no equality test walks two copies of
-    a subformula.  Building a conjunction or disjunction sorts its members
-    on their expanded keys, which reads every node of their expansion; a
-    row is refused before it is built if that would pass `budget`.
+    a subformula: a row is looked up by its tag and the first rows of its
+    children (an atom by its payloads and coalitions) before it is built.
+    A conjunction or disjunction puts its members in canonical order by
+    their `key()`, which the table builds once per row from its children's;
+    comparing keys may read every node of the members' expansion, so that
+    expansion is charged to `budget`, and a row is refused before it is
+    built if it would pass it.
     """
-    built, depth, size = [], [], []
-    interned: dict = {}
+    built, keys, first, depth, size = [], [], [], [], []
+    known: dict = {}  # tag and first child rows -> the first row of that formula
+    names: dict = {}  # coalition key -> (Coalition, canonical key)
     work = 0
     for row in rows:
-        t = row.get("t") if isinstance(row, dict) else None
-        if not isinstance(t, str) or t not in _FORMULA_FIELDS:
-            raise InvalidInputError(f"formula rows must carry a known tag, got {t!r}")
-        _fields(row, f"{t!r} formula", ("t",) + _FORMULA_FIELDS[t])
-        if t == "ach" or t == "geq":
-            f, d, n = _atom(t, row, vectors), 1, 1
-        else:
-            kids = (_array(row, "members") if t == "and" or t == "or"
-                    else (row["lhs"], row["rhs"]) if t == "implies" else (row["child"],))
-            children = [_ref(built, k, "formula") for k in kids]
-            d = 1 + max((depth[k] for k in kids), default=0)
+        try:
+            shape, tag = _FORMULA_SHAPES[row["t"]]
+        except (KeyError, TypeError):
+            t = row.get("t") if isinstance(row, dict) else None
+            raise InvalidInputError(f"formula rows must carry a known tag, got {t!r}") from None
+        if row.keys() != shape:
+            _fields(row, f"{row['t']!r} formula", ("t",) + _FORMULA_FIELDS[row["t"]])
+        here = len(built)
+        if tag <= _GEQ:
+            f, key = _atom(tag, row, vectors, names)
+            d = n = 1
+            j = known.setdefault(key, here)
+        elif tag == _NOT:
+            k = row["child"]
+            if type(k) is not int or not 0 <= k < here:
+                _ref(built, k, "formula")
+            d, n = depth[k] + 1, size[k] + 1
             if d > MAX_FORMULA_DEPTH:
-                raise InvalidInputError(f"formula {len(built)} is nested deeper "
-                                        f"than {MAX_FORMULA_DEPTH}")
-            n = 1 + sum(size[k] for k in kids)
-            if t == "and" or t == "or":
+                raise _too_deep(here)
+            c = first[k]
+            j = known.setdefault((_NOT, c), here)
+            if j == here:
+                f, key = Not(built[c]), (_NOT, keys[c])
+        else:
+            junction = tag == _AND or tag == _OR
+            kids = (_array(row, "members") if junction
+                    else (row["lhs"], row["rhs"]) if tag == _IMPLIES else (row["child"],))
+            ids, d, n = [], 0, 0
+            for k in kids:
+                if type(k) is not int or not 0 <= k < here:
+                    _ref(built, k, "formula")
+                ids.append(first[k])
+                if depth[k] > d:
+                    d = depth[k]
+                n += size[k]
+            d, n = d + 1, n + 1
+            if d > MAX_FORMULA_DEPTH:
+                raise _too_deep(here)
+            if junction:
                 work += n - 1
                 if work > budget:
                     raise InvalidInputError(f"formulas expand to more than {WORK_PER_ENTRY} "
                                             "nodes per entry of the file")
-            f = _compound(t, row, children)
-        built.append(interned.setdefault(f, f))
+                if not ids:
+                    _JUNCTIONS[tag](ids)  # refuses: a junction needs a member
+                unique = set(ids)
+                if len(unique) < len(ids):
+                    ids = list(unique)
+                try:
+                    ids.sort(key=keys.__getitem__)
+                except TypeError:
+                    raise InvalidInputError(f"formula {here} joins payloads of "
+                                            "different kinds") from None
+                shallow = (tag, *ids)
+            elif tag == _BEL:
+                shallow = (tag, _agent(row["agent"]), ids[0])
+            else:
+                shallow = (tag, *ids)
+            j = known.setdefault(shallow, here)
+            if j == here:
+                f, key = _compound(shallow, built, keys)
+        if j != here:
+            f, key = built[j], keys[j]
+        built.append(f)
+        keys.append(key)
+        first.append(j)
         depth.append(d)
         size.append(n)
     return built, work
 
 
-def _atom(t: str, row: dict, vectors: list) -> Formula:
-    if t == "ach":
-        return Ach(_ref(vectors, row["vector"], "vector"), _coalition(row["coalition"]))
+def _too_deep(row: int) -> InvalidInputError:
+    return InvalidInputError(f"formula {row} is nested deeper than {MAX_FORMULA_DEPTH}")
+
+
+def _atom(tag: int, row: dict, vectors: list, names: dict) -> tuple[Formula, tuple]:
+    """An atom and its key()."""
+    if tag == _ACH:
+        vec = _ref(vectors, row["vector"], "vector")
+        c, ck = _coalition(row["coalition"], names)
+        return Ach(vec, c), (_ACH, ck, vec)
     left = _ref(vectors, row["left"], "vector")
     right = _ref(vectors, row["right"], "vector")
     if len(left) != len(right) or type(left[0]) is not type(right[0]):
         raise InvalidInputError("geq compares payloads of different shapes")
     # the kernel reads both payloads at every member of `over`
-    over = _coalition(row["over"])
+    over, ok = _coalition(row["over"], names)
     if over.members[-1] > len(left):
         raise InvalidInputError(f"coalition {over} exceeds the payload length")
-    return Geq(left, _coalition(row["left_tag"]), over, right, _coalition(row["right_tag"]))
+    lt, ltk = _coalition(row["left_tag"], names)
+    rt, rtk = _coalition(row["right_tag"], names)
+    return Geq(left, lt, over, right, rt), (_GEQ, ltk, left, ok, rtk, right)
 
 
-def _compound(t: str, row: dict, children: list) -> Formula:
-    if t == "not":
-        return Not(children[0])
-    if t == "and":
-        return And(children)
-    if t == "or":
-        return Or(children)
-    if t == "implies":
-        return Implies(*children)
-    return Bel(_agent(row["agent"]), children[0])
+def _compound(shallow: tuple, built: list, keys: list) -> tuple[Formula, tuple]:
+    """The implication, belief or junction of a row's tag and first child
+    rows, and its key()."""
+    tag = shallow[0]
+    if tag == _IMPLIES:
+        _, lhs, rhs = shallow
+        return Implies(built[lhs], built[rhs]), (_IMPLIES, keys[lhs], keys[rhs])
+    if tag == _BEL:
+        _, agent, child = shallow
+        return Bel(agent, built[child]), (_BEL, agent, keys[child])
+    ids = shallow[1:]
+    return (_JUNCTIONS[tag]._presorted(tuple(map(built.__getitem__, ids))),
+            (tag, tuple(map(keys.__getitem__, ids))))
 
 
-@lru_cache(maxsize=1024)
-def _parse_coalition(text: str) -> Coalition:
-    return Coalition.parse(text)
-
-
-def _coalition(text: Any) -> Coalition:
-    # a file names few distinct coalitions, each many times
-    return _parse_coalition(text) if isinstance(text, str) else Coalition.parse(text)
+def _coalition(text: Any, names: dict) -> tuple[Coalition, tuple]:
+    """A coalition key and its canonical sort key, parsed once per file."""
+    found = names.get(text) if isinstance(text, str) else None
+    if found is None:
+        c = Coalition.parse(text)  # refuses a key that is not a string
+        found = names[text] = (c, c.canonical_key)
+    return found
 
 
 # rules that look for their principal on a side when no hint names it
@@ -440,11 +547,16 @@ _HINTED = frozenset((Rule.NotLeft, Rule.NotRight, Rule.ImpLeft, Rule.ImpRight,
 _WHOLE = frozenset((Rule.Cut, Rule.EpistemicDist))
 # rules that pick one member of their principal
 _PICKS = frozenset((Rule.AndLeft, Rule.OrRight))
+# rules that take their principal out of a side
+_TAKES = frozenset((Rule.AndRight, Rule.OrLeft))
+# (member access on the enum class is slow; sets and globals are not)
+_CUT, _IMP_RIGHT = Rule.Cut, Rule.ImpRight
 
 
 def _node_work(rule: Rule, seq: ThoughtSequent, premises: tuple, meta) -> int:
-    """A bound on the formulas the kernel reads at one node beyond the
-    rows the file spells out for it.
+    """A bound on the formulas the kernel reads at a node with premises
+    beyond the rows the file spells out for it (axioms compare sides of at
+    most one formula).
 
     The kernel stays on the deltas while the based sides at each position
     share one base and the rule is hinted and takes no formula out of a
@@ -453,48 +565,52 @@ def _node_work(rule: Rule, seq: ThoughtSequent, premises: tuple, meta) -> int:
     and OrRight also scan their principal's members, a row that many nodes
     may share.
     """
-    if not premises:
-        # axioms compare sides of at most one formula
-        return 0
     p = meta.principal if meta is not None else None
     work = len(p.members) if rule in _PICKS and isinstance(p, (And, Or)) else 0
-    seqs = (seq,) + premises
-    bases: dict = {}
-    mixed = False
-    for name in ("ante", "succ"):
-        here = {id(b): b for b in (getattr(s, name).base for s in seqs) if b is not None}
-        mixed = mixed or len(here) > 1
-        bases.update(here)
-    if not bases:
+    ante = {id(seq.ante.base): seq.ante.base}
+    succ = {id(seq.succ.base): seq.succ.base}
+    for q in premises:
+        q = q.sequent
+        ante[id(q.ante.base)] = q.ante.base
+        succ[id(q.succ.base)] = q.succ.base
+    ante.pop(id(None), None)
+    succ.pop(id(None), None)
+    if not ante and not succ:
         return work
-    taken = (p if rule is Rule.AndRight or rule is Rule.OrLeft
-             else getattr(p, "rhs", None) if rule is Rule.ImpRight else None)
-    unhinted = ((rule in _HINTED and p is None)
-                or (rule is Rule.Cut and (meta is None or meta.cut is None)))
+    mixed = len(ante) > 1 or len(succ) > 1
+    ante.update(succ)
+    taken = (p if rule in _TAKES
+             else getattr(p, "rhs", None) if rule is _IMP_RIGHT else None)
+    unhinted = ((p is None and rule in _HINTED)
+                or (rule is _CUT and (meta is None or meta.cut is None)))
     if mixed or unhinted or rule in _WHOLE or (
-            taken is not None and any(taken in b for b in bases.values())):
-        total = sum(map(len, bases.values()))
-        work += len(seqs) * total * (total if unhinted else 1)
+            taken is not None and any(taken in b for b in ante.values())):
+        total = sum(map(len, ante.values()))
+        work += (1 + len(premises)) * total * (total if unhinted else 1)
     return work
 
 
 def _side(obj: Any, formulas: list, sets: list, interned: dict) -> FormulaSet:
     # equal sides of a file share one FormulaSet, as they do in memory
-    _fields(obj, "sequent side", ("delta",), ("base",))
-    delta = tuple(_ids(obj["delta"], formulas, "formula"))
+    if not (isinstance(obj, dict) and "delta" in obj and len(obj) == 1 + ("base" in obj)):
+        _fields(obj, "sequent side", ("delta",), ("base",))
+    delta = _ids(obj["delta"], formulas, "formula")
     base = _ref(sets, obj["base"], "set") if "base" in obj else None
-    key = (obj.get("base"), delta)
+    key = (obj.get("base"), *delta)
     fs = interned.get(key)
     if fs is None:
-        fs = interned[key] = FormulaSet(base, frozenset(formulas[k] for k in delta))
+        fs = interned[key] = FormulaSet(base, frozenset(map(formulas.__getitem__, delta)))
     return fs
 
 
 def _meta(obj: Any, formulas: list) -> RuleMeta:
-    _fields(obj, "proof meta", (), _META_FORMULAS + ("agent",))
-    hints = {name: _ref(formulas, obj[name], "formula")
-             for name in _META_FORMULAS if name in obj}
-    return RuleMeta(agent=_agent(obj["agent"]) if "agent" in obj else None, **hints)
+    if not (isinstance(obj, dict) and obj.keys() <= _META_SET):
+        _fields(obj, "proof meta", (), _META_FORMULAS + ("agent",))
+    return RuleMeta(
+        _ref(formulas, obj["principal"], "formula") if "principal" in obj else None,
+        _ref(formulas, obj["member"], "formula") if "member" in obj else None,
+        _ref(formulas, obj["cut"], "formula") if "cut" in obj else None,
+        _agent(obj["agent"]) if "agent" in obj else None)
 
 
 def _ref(table: list, k: Any, what: str):
@@ -507,8 +623,10 @@ def _ref(table: list, k: Any, what: str):
 def _ids(ids: Any, table: list, what: str) -> list:
     if not isinstance(ids, list):
         raise InvalidInputError(f"{what} ids must be an array")
+    n = len(table)
     for k in ids:
-        _ref(table, k, what)
+        if type(k) is not int or not 0 <= k < n:
+            _ref(table, k, what)
     return ids
 
 

@@ -26,6 +26,8 @@ O(tree * |knowledge set|).
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -419,6 +421,21 @@ class ThoughtSequent:
 
     def __repr__(self):
         return f"B{list(self.prefix)}[{self.ante!r} -> {self.succ!r}]"
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state on
+    the way out.  Formulas, formula sets, sequents and proof trees hold no
+    reference cycles, so reference counting frees them, and a collection
+    pass would only walk the live ones again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,14 @@ from epicore import (
     gamma,
     knowledge_set,
 )
-from epicore.acceptability import c_formula, normalize_family, parse_family
+from epicore.acceptability import (
+    MAX_GAMMA,
+    _purge_spaces,
+    c_formula,
+    normalize_family,
+    parse_family,
+)
+from epicore.games import all_coalitions
 from epicore.logic import (
     GRID_ORACLE,
     Ach,
@@ -344,3 +351,15 @@ def test_emitted_proofs_always_check(worths, data):
     negated = isinstance(succ[0], Not) and isinstance(succ[0].child, Not)
     assert negated == (not verdict.acceptable)
     assert check_proof(proof, GRID_ORACLE).ok
+
+
+@pytest.mark.parametrize("n, bound", [(3, 8), (4, 2)])
+def test_gamma_guard_admits_the_largest_grids_the_tests_need(n, bound):
+    # 3 players at bound 8 is the guard's limit exactly: 25^3 * 7 = 109,375
+    assert (bound * n + 1) ** n * (2 ** n - 1) <= MAX_GAMMA
+    try:
+        knowledge = gamma(
+            TUGame.from_values(n, {str(s): 0 for s in all_coalitions(n)}, bound=bound), [])
+        assert len(knowledge) == (bound * n + 1) ** n * (2 ** n - 1)
+    finally:
+        _purge_spaces()

@@ -7,6 +7,7 @@ verification failure, 3 unsupported size).
 """
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import json
@@ -17,6 +18,7 @@ import pytest
 
 from epicore import acceptability, cli
 from epicore.cli import main
+from epicore.games import all_coalitions
 from epicore.jsonio import (
     dump_json,
     economy_from_obj,
@@ -440,6 +442,96 @@ def test_prove_on_a_huge_grid_fails_before_enumerating(knowledge, worth, tmp_pat
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("unsupported size: the payoff grid has 200001^2 vectors")
+
+
+def test_prove_refuses_a_knowledge_set_past_the_gamma_guard(tmp_path, capsys):
+    # 5 players at bound 1: 6^5 grid vectors, under the grid guard, times 31
+    # coalitions is 241,056 formulas; its acceptable proof peaks at 3.3 GB
+    game = tmp_path / "five.json"
+    dump_json({"players": 5, "bound": 1, "v": {str(s): 0 for s in all_coalitions(5)}},
+              str(game))
+    start = time.monotonic()
+    assert main(["prove", str(game), "-i", "1", "-x", "0,0,0,0,0",
+                 "-o", str(tmp_path / "proof.json")]) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("unsupported size: the knowledge set would hold 6^5 vectors x "
+                          "31 coalitions = 241,056 formulas")
+    assert not (tmp_path / "proof.json").exists()
+
+
+def test_core_refuses_a_worth_past_the_enumeration_guard(tmp_path, capsys):
+    game = tmp_path / "rich.json"
+    dump_json({"players": 2, "v": {"1": 0, "2": 0, "1,2": 10**6}}, str(game))
+    start = time.monotonic()
+    assert main(["core", str(game)]) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("unsupported size: v(N) = 1000000 splits 1,000,001 ways")
+
+
+def test_replica_refuses_a_replica_count_past_the_listing_guard(econ_path, capsys):
+    start = time.monotonic()
+    assert main(["replica", econ_path, "-k", str(10**6)]) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("unsupported size: effective coalitions are listed for k <= 100")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+
+
+@pytest.fixture
+def collector_state():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class Interrupted(Exception):
+    pass
+
+
+def _interrupted(*args):
+    raise Interrupted
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case, want", [
+    ("prove", 0), ("check", 0), ("check-invalid", 1), ("check-rejected", 2),
+    ("prove-huge", 3), ("check-raises", Interrupted)])
+def test_proof_commands_leave_the_collector_as_they_found_it(
+        case, want, enabled, collector_state, min_path, tmp_path, monkeypatch, capsys):
+    proof_file = str(tmp_path / "proof.json")
+    assert main(["prove", min_path, "-i", "1", "-K", "1,2", "-x", "0,0",
+                 "-o", proof_file]) == 0
+    argv = ["check", proof_file]
+    if case == "prove":
+        argv = ["prove", min_path, "-i", "1", "-x", "0,1", "-o", proof_file]
+    elif case == "check-invalid":
+        pathlib.Path(proof_file).write_text("{}")
+    elif case == "check-rejected":
+        obj = load_json(proof_file)
+        obj["nodes"][-1]["rule"] = "AndRight"
+        dump_json(obj, proof_file)
+    elif case == "prove-huge":
+        huge = str(tmp_path / "huge.json")
+        dump_json({"players": 2, "bound": 100000, "v": {"1": 0, "2": 0, "1,2": 1}}, huge)
+        argv = ["prove", huge, "-i", "1", "-x", "0,0", "-o", proof_file]
+    elif case == "check-raises":
+        monkeypatch.setattr(cli, "check_proof", _interrupted)
+    (gc.enable if enabled else gc.disable)()
+    if want is Interrupted:
+        with pytest.raises(Interrupted):
+            main(argv)
+    else:
+        assert main(argv) == want
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
 
 
 def test_cli_keeps_every_name_the_benchmark_rebinds():

@@ -334,6 +334,95 @@ def test_largest_grid_rejection_proofs_reload(n, bound):
         acceptability._purge_spaces()
 
 
+# ---------------------------------------------------------------------------
+# loader invariants: how rows become formulas
+
+
+def _one_node_file(vectors, formulas, ante, succ, rule="LogicalAxiom"):
+    return {"vectors": vectors, "formulas": formulas, "sets": [],
+            "nodes": [{"prefix": [], "ante": {"delta": ante}, "succ": {"delta": succ},
+                       "rule": rule}]}
+
+
+def _row_geq(left, right):
+    return {"t": "geq", "left": left, "left_tag": "1,2", "over": "1",
+            "right": right, "right_tag": "1"}
+
+
+def test_equal_rows_over_duplicated_vectors_load_as_one_formula():
+    # rows 0 and 1 name equal payloads through different vector rows, and
+    # row 2 spells coalition "1,2" as "2,1"
+    vectors = [["1", "0"], ["1/2", "0"], ["1", "0"]]
+    formulas = [_row_geq(0, 1), _row_geq(2, 1), dict(_row_geq(0, 1), left_tag="2,1"),
+                {"t": "not", "child": 0}, {"t": "not", "child": 1},
+                {"t": "not", "child": 2}]
+    proof = proof_from_obj(_one_node_file(vectors, formulas, [3, 4, 5], [3]))
+    (ante,), (succ,) = proof.sequent.ante, proof.sequent.succ
+    assert ante is succ
+    assert ante.child == Geq((2, 0), Coalition.of(1, 2), Coalition.of(1), (1, 0),
+                             Coalition.of(1))
+    assert check_proof(proof, GRID_ORACLE).ok
+
+
+@pytest.mark.parametrize("members", [[1, 0], [1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0]])
+def test_junction_rows_load_in_canonical_order(members):
+    # a junction listed out of order or with repeats loads as the one
+    # canonical formula, the same object as the canonical row before it
+    formulas = [_row_geq(0, 1), {"t": "not", "child": 0},
+                {"t": "and", "members": [0, 1]}, {"t": "and", "members": members}]
+    proof = proof_from_obj(_one_node_file([["1", "0"], ["1/2", "0"]], formulas, [2], [3]))
+    (ante,), (succ,) = proof.sequent.ante, proof.sequent.succ
+    assert succ is ante
+    geq = Geq((2, 0), Coalition.of(1, 2), Coalition.of(1), (1, 0), Coalition.of(1))
+    assert succ.members == (geq, Not(geq))
+
+
+def test_loaded_junctions_sort_members_by_formula_key():
+    # one disjunction over every kind of formula, listed in reverse: the
+    # loader orders members by the keys it builds, which must be key()
+    formulas = [{"t": "ach", "coalition": "1,2", "vector": 0}, _row_geq(0, 1),
+                {"t": "not", "child": 1}, {"t": "and", "members": [2, 1]},
+                {"t": "or", "members": [0, 2]}, {"t": "implies", "lhs": 0, "rhs": 1},
+                {"t": "bel", "agent": 2, "child": 0}, {"t": "ach", "coalition": "1", "vector": 1}]
+    formulas.append({"t": "or", "members": list(range(len(formulas)))[::-1]})
+    proof = proof_from_obj(_one_node_file([["1", "0"], ["1/2", "0"]], formulas,
+                                          [len(formulas) - 1], [len(formulas) - 1]))
+    (big,) = proof.sequent.succ
+    assert len(big.members) == len(formulas) - 1
+    assert list(big.members) == sorted(big.members, key=lambda f: f.key())
+
+
+def test_junction_of_payloads_of_different_kinds_is_refused():
+    formulas = [{"t": "ach", "coalition": "1", "vector": 0},
+                {"t": "ach", "coalition": "1", "vector": 1},
+                {"t": "or", "members": [0, 1]}]
+    with pytest.raises(InvalidInputError, match="payloads of different kinds"):
+        proof_from_obj(_one_node_file([["1", "0"], [["1", "0"]]], formulas, [2], [2]))
+
+
+@pytest.mark.parametrize("repeats, refused", [(48, False), (49, True)])
+def test_junction_expansion_is_charged_to_the_budget(repeats, refused):
+    # 2 formula rows + 1 node row give a budget of 3 * 16 reads; a member
+    # named `repeats` times expands to that many nodes, even though the
+    # loaded conjunction holds it once
+    formulas = [_row_geq(0, 1), {"t": "and", "members": [0] * repeats}]
+    obj = _one_node_file([["1", "0"], ["1/2", "0"]], formulas, [1], [1])
+    if refused:
+        with pytest.raises(InvalidInputError, match="expand to more than 16"):
+            proof_from_obj(obj)
+    else:
+        (f,) = proof_from_obj(obj).sequent.succ
+        assert len(f.members) == 1
+
+
+def test_rational_with_an_exponent_is_refused():
+    # 1e999999999 would expand to an integer of a billion digits
+    with pytest.raises(InvalidInputError, match="bad rational"):
+        payload_from_obj(["1e999999999", "0"])
+    with pytest.raises(InvalidInputError, match="bad rational"):
+        rational_from_str("5E-1")
+
+
 def test_proof_from_obj_rejects_unknown_rule():
     g = small_game()
     x = PayoffVector.of(0, 3)
