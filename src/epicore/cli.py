@@ -203,8 +203,7 @@ def _cmd_replica(args) -> int:
     k = economy.k
     den = economy.base.grid_denominator
     coalitions = effective_coalitions(k)
-    print(f"economy: D={den}, k={k}, utility {economy.base.utility} "
-          f"(exponent {rational_to_str(economy.base.rho)})")
+    print(f"economy: D={den}, k={k}, utility ces (exponent 1/2)")
     print(f"effective coalitions: {len(coalitions)}")
     for s in coalitions:
         inner = ",".join(f"({i},{t})" for i, t in sorted(s))

@@ -108,10 +108,8 @@ def load_game(path: str) -> TUGame:
 
 
 def economy_to_obj(economy: ReplicaEconomy) -> dict:
-    base = economy.base
-    return {"utility": base.utility,
-            "rho": rational_to_str(base.rho),
-            "grid_denominator": base.grid_denominator,
+    return {"utility": "ces", "rho": "1/2",
+            "grid_denominator": economy.base.grid_denominator,
             "replicas": economy.k}
 
 
@@ -129,9 +127,13 @@ def economy_from_obj(obj: Any) -> ReplicaEconomy:
     k = obj.get("replicas", 1)
     if not isinstance(k, int) or isinstance(k, bool):
         raise InvalidInputError("replicas must be an integer")
-    base = EdgeworthEconomy(den,
-                            utility=obj.get("utility", "ces"),
-                            rho=rational_from_str(obj.get("rho", "1/2")))
+    # the one utility there is, CES with exponent 1/2, may be named
+    rho = rational_from_str(obj.get("rho", "1/2"))
+    base = EdgeworthEconomy(den)
+    if obj.get("utility", "ces") != "ces":
+        raise InvalidInputError(f"unknown utility tag: {obj['utility']!r}")
+    if rho != Fraction(1, 2):
+        raise InvalidInputError("only the CES utility with exponent 1/2 is available")
     return ReplicaEconomy(base, k)
 
 
@@ -296,7 +298,12 @@ class _Tables:
         # canonical order, so that ids never follow set iteration order;
         # keys expand a formula, so a lone one is not sorted
         if len(formulas) > 1:
-            formulas = sorted(formulas, key=lambda f: f.key())
+            try:
+                formulas = sorted(formulas, key=lambda f: f.key())
+            except TypeError:
+                # a side over scalar and bundle payloads, which a loaded
+                # file may hold: scalars then sort before tuples
+                formulas = sorted(formulas, key=lambda f: _total_key(f.key()))
         return [self.formula(f) for f in formulas]
 
     def side(self, fs: FormulaSet) -> dict:
@@ -309,6 +316,12 @@ class _Tables:
             out["base"] = k
         out["delta"] = self.ids(fs.extra)
         return out
+
+
+def _total_key(key):
+    if type(key) is tuple:
+        return (1, tuple(map(_total_key, key)))
+    return (0, key)
 
 
 def proof_to_obj(tree: ProofTree) -> dict:

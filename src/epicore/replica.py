@@ -25,7 +25,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError, UnsupportedSizeError, VerificationFailure
@@ -75,23 +74,18 @@ def _radical_cmp(s1, p1, s2, p2) -> int:
     return out if lhs_sign > 0 else -out
 
 
-def _cmp_units(a: tuple[int, int], b: tuple[int, int]) -> int:
-    # Unit counts scale both bundles by the same factor; CES with exponent
-    # 1/2 is homogeneous, so comparing scaled utilities is safe.
+def _cmp_units(a: tuple, b: tuple) -> int:
+    # bundles of rationals or unit counts: scaling both by one factor keeps
+    # their order, since CES with exponent 1/2 is homogeneous
     return _radical_cmp(a[0] + a[1], a[0] * a[1], b[0] + b[1], b[0] * b[1])
 
 
-def utility_compare(utility: str, a: Sequence, b: Sequence) -> int:
-    """Exact ordinal comparison of two bundles: -1, 0, or 1.
-
-    Only the "ces" tag (exponent 1/2) is available.  Bundles are pairs of
-    non-negative rationals.
+def utility_compare(a: Sequence, b: Sequence) -> int:
+    """Exact ordinal comparison of two bundles under the CES utility with
+    exponent 1/2: -1, 0, or 1.  Bundles are pairs of non-negative
+    rationals.
     """
-    if utility != "ces":
-        raise InvalidInputError(f"unknown utility tag: {utility!r}")
-    a = _as_bundle(a)
-    b = _as_bundle(b)
-    return _radical_cmp(a[0] + a[1], a[0] * a[1], b[0] + b[1], b[0] * b[1])
+    return _cmp_units(_as_bundle(a), _as_bundle(b))
 
 
 def _as_bundle(raw) -> Bundle:
@@ -112,7 +106,7 @@ def _as_bundle(raw) -> Bundle:
 
 def _utility_geq(left_value, right_value) -> bool:
     # payoff-vector entries that are commodity bundles, compared by utility
-    return utility_compare("ces", left_value, right_value) >= 0
+    return utility_compare(left_value, right_value) >= 0
 
 
 UTILITY_ORACLE = _utility_geq
@@ -127,22 +121,14 @@ class EdgeworthEconomy:
     """Two-type, two-commodity exchange economy on a 1/D grid.
 
     Endowments are fixed: type 1 owns (1,0), type 2 owns (0,1).  Both
-    types share one ordinal utility; only the CES tag with exponent 1/2
-    is supported.
+    types share the CES utility with exponent 1/2.
     """
 
     grid_denominator: int
-    utility: str = "ces"
-    rho: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
         if not isinstance(self.grid_denominator, int) or self.grid_denominator < 1:
             raise InvalidInputError("grid denominator must be a positive integer")
-        if self.utility != "ces":
-            raise InvalidInputError(f"unknown utility tag: {self.utility!r}")
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.rho != Fraction(1, 2):
-            raise InvalidInputError("only the CES utility with exponent 1/2 is available")
 
     def endowment(self, agent_type: int) -> Bundle:
         if agent_type == 1:
@@ -350,7 +336,7 @@ def econ_dominates(economy: ReplicaEconomy, y: Allocation, x: Allocation, S) -> 
             f"(needs ({need1}, {need2}) in total, has ({got1}, {got2}))")
     strict = False
     for j in idxs:
-        c = utility_compare("ces", y.bundles[j - 1], x.bundles[j - 1])
+        c = utility_compare(y.bundles[j - 1], x.bundles[j - 1])
         if c < 0:
             return False
         if c > 0:
@@ -490,6 +476,37 @@ class _Tables:
             out = self._upper[target] = tuple(pts)
         return out
 
+    def peel(self, res, targets: tuple, strict: bool) -> Optional[tuple]:
+        """A split of res giving member i a rank >= targets[i], and a
+        strictly higher rank to one member if `strict`, or None.
+
+        The first member is peeled off with each componentwise-minimal
+        bundle that reaches its target, and the rest recurse on what is
+        left, down to the two-member staircase.  The split is the members'
+        unit bundles in order.  Minimal bundles make the search complete:
+        utility is strictly monotone, so whatever a dominating profile
+        gives the peeled member beyond a minimal bundle below it can go to
+        another member, who then gains strictly.
+        """
+        if len(targets) == 2:
+            if strict:
+                code = self.pair_strict(res, targets[0], targets[1])
+            else:
+                code = self.pair_meets(res, targets[0], targets[1])
+            return None if code is None else self.unpair(res, code)
+        r1, r2 = res
+        target = targets[0]
+        rest = targets[1:]
+        rank = self.rank
+        for single in self.upper_min(target):
+            m1, m2 = single
+            if m1 > r1 or m2 > r2:
+                continue
+            hit = self.peel((r1 - m1, r2 - m2), rest, strict and rank[single] == target)
+            if hit is not None:
+                return (single,) + hit
+        return None
+
 
 @lru_cache(maxsize=8)
 def _tables(max_units: int) -> _Tables:
@@ -543,88 +560,36 @@ class _Coalitions:
         split = self._blocked_by(idxs, ranks)
         if split is None:
             return None
-        unpair = self.tables.unpair
         if len(idxs) == 2:
-            return unpair(res, split)
-        if len(idxs) == 3:
-            pos, single, code = split
-            pair = unpair((res[0] - single[0], res[1] - single[1]), code)
-            return pair[:pos] + (single,) + pair[pos:]
-        res_a, front, back = split
-        return unpair(res_a, front) + unpair((res[0] - res_a[0], res[1] - res_a[1]), back)
+            return self.tables.unpair(res, split)
+        return tuple(b for _, b in sorted(zip(_peel_order(self.k, idxs), split)))
 
     def _blocked_by(self, idxs: tuple[int, ...], ranks: tuple[int, ...]):
-        """How idxs rejects these ranks, as the staircase splits that reach
-        a dominating profile (decoded by `bundles`), or None."""
+        """How idxs rejects these ranks, or None: for a pair the staircase
+        split (decoded by `bundles`), for a larger coalition the member
+        bundles in `_peel_order`."""
         t = self.tables
         targets = tuple(ranks[j - 1] for j in idxs)
-        size = len(idxs)
-        if size == 2:
+        if len(idxs) == 2:
             return t.pair_strict(self.resource(idxs), targets[0], targets[1])
         key = (idxs, targets)
         try:
             return self._memo[key]
         except KeyError:
             pass
-        if size == 3:
-            hit = self._blocked_three(idxs, targets)
-        elif size == 4:
-            hit = self._blocked_four(idxs, targets)
-        else:
-            raise UnsupportedSizeError(
-                f"no query plan for a coalition of size {size}")
-        self._memo[key] = hit
+        ordered = tuple(targets[p] for p in _peel_order(self.k, idxs))
+        hit = self._memo[key] = t.peel(self.resource(idxs), ordered, True)
         return hit
 
-    def _blocked_three(self, idxs, targets):
-        # Peel one member off as a singleton and treat the rest as a pair.
-        # Minimal single bundles suffice: utility is strictly monotone, so
-        # any surplus freed by shrinking the single makes the pair strict.
-        # The split is (peeled position, its bundle, the pair's split).
-        t = self.tables
-        r1, r2 = self.resource(idxs)
-        k = self.k
-        types = [1 if j <= k else 2 for j in idxs]
-        pos = types.index(1) if types.count(1) == 1 else (
-            types.index(2) if types.count(2) == 1 else 0)
-        tc = targets[pos]
-        ta, tb = (targets[p] for p in range(3) if p != pos)
-        for single in t.upper_min(tc):
-            m1, m2 = single
-            if m1 > r1 or m2 > r2:
-                continue
-            rest = (r1 - m1, r2 - m2)
-            if t.rank[single] > tc:
-                code = t.pair_meets(rest, ta, tb)
-            else:
-                code = t.pair_strict(rest, ta, tb)
-            if code is not None:
-                return pos, single, code
-        return None
 
-    def _blocked_four(self, idxs, targets):
-        # Split into two fixed pairs; any dominating profile decomposes
-        # under any fixed pairing, so one pairing and all resource splits
-        # cover every case.  The split is (front resource, front split,
-        # back split).
-        t = self.tables
-        r1, r2 = self.resource(idxs)
-        ta, tb = targets[0], targets[1]
-        tc, td = targets[2], targets[3]
-        for a1 in range(r1 + 1):
-            for a2 in range(r2 + 1):
-                res_a = (a1, a2)
-                res_b = (r1 - a1, r2 - a2)
-                front = t.pair_meets(res_a, ta, tb)
-                if front is None:
-                    continue
-                back = t.pair_strict(res_b, tc, td)
-                if back is None:
-                    front = t.pair_strict(res_a, ta, tb)
-                    back = None if front is None else t.pair_meets(res_b, tc, td)
-                if back is not None:
-                    return res_a, front, back
-        return None
+@lru_cache(maxsize=None)
+def _peel_order(k: int, idxs: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of idxs in the order `_Tables.peel` takes them: members of
+    the rarer type first, else in coalition order, so that a triple peels
+    its lone-type member and the last two form the pair."""
+    ones = sum(1 for j in idxs if j <= k)
+    count = (ones, len(idxs) - ones)
+    return tuple(sorted(range(len(idxs)), key=lambda p: count[idxs[p] > k]))
 
 
 def _family_indices(economy: ReplicaEconomy, sets: Iterable) -> tuple[tuple[int, ...], ...]:
@@ -636,14 +601,6 @@ def _family_indices(economy: ReplicaEconomy, sets: Iterable) -> tuple[tuple[int,
             seen.add(idxs)
             out.append(idxs)
     out.sort(key=lambda v: (len(v), v))
-    return tuple(out)
-
-
-def _all_subsets(economy: ReplicaEconomy) -> tuple[tuple[int, ...], ...]:
-    n = 2 * economy.k
-    out = []
-    for size in range(1, n + 1):
-        out.extend(combinations(range(1, n + 1), size))
     return tuple(out)
 
 
@@ -671,31 +628,17 @@ def _witness_plan(economy: ReplicaEconomy) -> _Coalitions:
 # grid core
 
 
-def grid_core(economy: ReplicaEconomy, *, coalitions: Optional[Iterable] = None,
-              exhaustive: bool = False) -> frozenset:
+def grid_core(economy: ReplicaEconomy, *, coalitions: Optional[Iterable] = None) -> frozenset:
     """Feasible grid allocations no coalition can reject with a grid witness.
 
     By default only the effective coalition family is consulted; pass
     `coalitions` (an iterable of participant sets) to use a custom family,
-    or `exhaustive=True` to consult every nonempty coalition (small grids
-    only).  The result over-approximates the true core restricted to the
-    grid: dominators that live between grid points are not seen.
+    such as every nonempty coalition.  The result over-approximates the
+    true core restricted to the grid: dominators that live between grid
+    points are not seen.
     """
-    k = economy.k
-    if exhaustive:
-        if coalitions is not None:
-            raise InvalidInputError("choose either a coalition family or exhaustive mode")
-        den = economy.base.grid_denominator
-        if k > 2 or den > 4:
-            raise UnsupportedSizeError(
-                f"exhaustive mode is guarded to k <= 2 and D <= 4; got k={k}, D={den}")
-        plan = _Coalitions(economy, _all_subsets(economy))
-    else:
-        plan = _plan(economy, coalitions)
-    if k == 1:
-        survivors = _core_k1(plan)
-    else:
-        survivors = _core_k2(plan)
+    plan = _plan(economy, coalitions)
+    survivors = _core_k1(plan) if economy.k == 1 else _core_k2(plan)
     return frozenset(survivors)
 
 
@@ -821,7 +764,7 @@ def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
 
     sigma_idx = None
     for j in idxs:
-        if utility_compare("ces", y_vec[j - 1], x_vec[j - 1]) > 0:
+        if utility_compare(y_vec[j - 1], x_vec[j - 1]) > 0:
             sigma_idx = j
             break
     if sigma_idx is None:

@@ -107,6 +107,38 @@ def _splits(total, members):
                 yield ((c1, c2),) + rest
 
 
+def _cmp_cached(a, b, _cache={}):
+    key = (a, b)
+    out = _cache.get(key)
+    if out is None:
+        out = _cache[key] = ces_cmp_units(a, b)
+    return out
+
+
+def brute_blocks(k, den, alloc, s):
+    """Can coalition s (member indices, the first k of type 1) share out
+    its own endowments in integer units so that every member is weakly
+    better off than under alloc and one strictly?  Raw enumeration of
+    every split, member by member, dropping a prefix that leaves a member
+    worse off."""
+    ones = sum(1 for agent in s if agent <= k)
+    last = len(s) - 1
+
+    def search(i, left, strict):
+        own = alloc[s[i] - 1]
+        if i == last:
+            c = _cmp_cached(left, own)
+            return c > 0 or (c == 0 and strict)
+        for c1 in range(left[0] + 1):
+            for c2 in range(left[1] + 1):
+                c = _cmp_cached((c1, c2), own)
+                if c >= 0 and search(i + 1, (left[0] - c1, left[1] - c2), strict or c > 0):
+                    return True
+        return False
+
+    return search(0, (ones * den, (len(s) - ones) * den), False)
+
+
 def brute_grid_core(k, den, coalitions=None):
     """Grid core by raw enumeration.  Agents are indexed 1..2k, the first k
     of type 1 (endowment (1,0)) and the rest of type 2 (endowment (0,1)).
@@ -123,38 +155,8 @@ def brute_grid_core(k, den, coalitions=None):
         else:
             raise ValueError("literal coalition family only written for k <= 2")
     coalitions = [tuple(s) for s in coalitions]
-
-    def endow(agent):
-        return (den, 0) if agent <= k else (0, den)
-
-    def cmp_cached(a, b, _cache={}):
-        key = (a, b)
-        out = _cache.get(key)
-        if out is None:
-            out = _cache[key] = ces_cmp_units(a, b)
-        return out
-
-    def blocked(alloc, s):
-        total = [0, 0]
-        for agent in s:
-            e = endow(agent)
-            total[0] += e[0]
-            total[1] += e[1]
-        for y in _splits(tuple(total), len(s)):
-            strict = False
-            for agent, bundle in zip(s, y):
-                c = cmp_cached(bundle, alloc[agent - 1])
-                if c < 0:
-                    break
-                if c > 0:
-                    strict = True
-            else:
-                if strict:
-                    return True
-        return False
-
     core = []
     for alloc in _splits((k * den, k * den), 2 * k):
-        if not any(blocked(alloc, s) for s in coalitions):
+        if not any(brute_blocks(k, den, alloc, s) for s in coalitions):
             core.append(alloc)
     return core

@@ -150,7 +150,7 @@ def test_economy_defaults():
     econ = economy_from_obj({"grid_denominator": 8})
     assert econ.k == 1
     assert econ.base.grid_denominator == 8
-    assert econ.base.rho == Fraction(1, 2)
+    assert economy_to_obj(econ)["rho"] == "1/2"
 
 
 @pytest.mark.parametrize("obj", [
@@ -398,6 +398,27 @@ def test_junction_of_payloads_of_different_kinds_is_refused():
                 {"t": "or", "members": [0, 1]}]
     with pytest.raises(InvalidInputError, match="payloads of different kinds"):
         proof_from_obj(_one_node_file([["1", "0"], [["1", "0"]]], formulas, [2], [2]))
+
+
+def test_side_over_payloads_of_different_kinds_writes_and_reloads():
+    # one side may hold atoms over grid units and over bundles; the writer
+    # orders such a side too, and load -> write -> load is a fixed point
+    obj = {"vectors": [["1", "0"], [["1", "0"]]],
+           "formulas": [{"t": "ach", "coalition": "1", "vector": 0},
+                        {"t": "ach", "coalition": "1", "vector": 1}],
+           "sets": [],
+           "nodes": [{"prefix": [], "ante": {"delta": [0]}, "succ": {"delta": [0]},
+                      "rule": "LogicalAxiom"},
+                     {"prefix": [], "ante": {"delta": [1, 0]}, "succ": {"delta": [0]},
+                      "rule": "Th", "children": [0]}]}
+    tree = proof_from_obj(obj)
+    assert check_proof(tree, GRID_ORACLE).ok
+    written = proof_to_obj(tree)
+    assert written["nodes"][1]["ante"] == {"delta": [0, 1]}
+    reloaded = proof_from_obj(json.loads(json.dumps(written)))
+    assert set(reloaded.sequent.ante) == set(tree.sequent.ante)
+    assert check_proof(reloaded, GRID_ORACLE).ok
+    assert proof_to_obj(reloaded) == written
 
 
 @pytest.mark.parametrize("repeats, refused", [(48, False), (49, True)])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_grid_core, ces_cmp_units
+from _oracles import brute_blocks, brute_grid_core, ces_cmp_units
 from epicore import (
     InvalidInputError,
     UnsupportedSizeError,
@@ -49,6 +49,12 @@ def units_of(core, den):
             for a in core}
 
 
+def all_subsets(k):
+    n = 2 * k
+    return [s for r in range(1, n + 1)
+            for s in itertools.combinations(range(1, n + 1), r)]
+
+
 EQUAL_SPLIT_K2 = ((F(1, 2), F(1, 2)),) * 4
 F_ALLOCATION = ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4)),
                 (F(3, 4), F(3, 4)), (F(3, 4), F(3, 4)))
@@ -59,27 +65,24 @@ F_ALLOCATION = ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4)),
 
 
 def test_utility_compare_pinned_values():
-    u = "ces"
     # equal split beats holding the whole endowment of one good
-    assert utility_compare(u, (F(1, 2), F(1, 2)), (F(1), F(0))) > 0
+    assert utility_compare((F(1, 2), F(1, 2)), (F(1), F(0))) > 0
     # the substitution curve through (1,0) passes through (1/4,1/4)
-    assert utility_compare(u, (F(1, 4), F(1, 4)), (F(1), F(0))) == 0
-    assert utility_compare(u, (F(3, 8), F(3, 8)), (F(1), F(0))) > 0
-    assert utility_compare(u, (F(1, 8), F(1, 8)), (F(0), F(1))) < 0
-    assert utility_compare(u, (F(2), F(3)), (F(2), F(3))) == 0
+    assert utility_compare((F(1, 4), F(1, 4)), (F(1), F(0))) == 0
+    assert utility_compare((F(3, 8), F(3, 8)), (F(1), F(0))) > 0
+    assert utility_compare((F(1, 8), F(1, 8)), (F(0), F(1))) < 0
+    assert utility_compare((F(2), F(3)), (F(2), F(3))) == 0
 
 
 def test_utility_compare_is_symmetric_in_goods():
-    assert utility_compare("ces", (F(1, 8), F(5, 8)), (F(5, 8), F(1, 8))) == 0
+    assert utility_compare((F(1, 8), F(5, 8)), (F(5, 8), F(1, 8))) == 0
 
 
 def test_utility_compare_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        utility_compare("linear", (F(1), F(0)), (F(0), F(1)))
+        utility_compare((F(-1), F(0)), (F(0), F(1)))
     with pytest.raises(InvalidInputError):
-        utility_compare("ces", (F(-1), F(0)), (F(0), F(1)))
-    with pytest.raises(InvalidInputError):
-        utility_compare("ces", (F(1),), (F(0), F(1)))
+        utility_compare((F(1),), (F(0), F(1)))
 
 
 def test_utility_oracle_wraps_comparison():
@@ -95,18 +98,18 @@ GRID_BUNDLES = st.tuples(st.integers(0, 16), st.integers(0, 16))
 def test_utility_compare_agrees_with_interval_oracle(a, b):
     fa = (F(a[0], 8), F(a[1], 8))
     fb = (F(b[0], 8), F(b[1], 8))
-    assert utility_compare("ces", fa, fb) == ces_cmp_units(a, b)
+    assert utility_compare(fa, fb) == ces_cmp_units(a, b)
 
 
 @settings(max_examples=80, deadline=None)
 @given(GRID_BUNDLES, GRID_BUNDLES, GRID_BUNDLES)
 def test_utility_order_is_total_and_transitive(a, b, c):
     frac = lambda u: (F(u[0], 8), F(u[1], 8))
-    ab = utility_compare("ces", frac(a), frac(b))
-    ba = utility_compare("ces", frac(b), frac(a))
+    ab = utility_compare(frac(a), frac(b))
+    ba = utility_compare(frac(b), frac(a))
     assert ab == -ba
-    bc = utility_compare("ces", frac(b), frac(c))
-    ac = utility_compare("ces", frac(a), frac(c))
+    bc = utility_compare(frac(b), frac(c))
+    ac = utility_compare(frac(a), frac(c))
     if ab >= 0 and bc >= 0:
         assert ac >= 0
         if ab > 0 or bc > 0:
@@ -118,7 +121,7 @@ def test_utility_order_is_total_and_transitive(a, b, c):
 def test_utility_is_strictly_monotone(a, d1, d2):
     fa = (F(a[0], 8), F(a[1], 8))
     fb = (F(a[0] + d1, 8), F(a[1] + d2, 8))
-    assert utility_compare("ces", fb, fa) > 0
+    assert utility_compare(fb, fa) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +131,6 @@ def test_utility_is_strictly_monotone(a, d1, d2):
 def test_economy_validation():
     with pytest.raises(InvalidInputError):
         EdgeworthEconomy(0)
-    with pytest.raises(InvalidInputError):
-        EdgeworthEconomy(8, utility="cobb")
-    with pytest.raises(InvalidInputError):
-        EdgeworthEconomy(8, rho=F(1, 3))
     with pytest.raises(InvalidInputError):
         ReplicaEconomy(EdgeworthEconomy(8), 0)
 
@@ -270,17 +269,16 @@ def test_grid_core_agrees_with_brute_enumeration():
 
 
 def test_exhaustive_core_agrees_with_brute_enumeration():
-    allsub = [s for r in range(1, 5)
-              for s in itertools.combinations(range(1, 5), r)]
+    allsub = all_subsets(2)
     for den in (2, 3):
-        pkg = units_of(grid_core(econ(den, 2), exhaustive=True), den)
+        pkg = units_of(grid_core(econ(den, 2), coalitions=allsub), den)
         brute = set(brute_grid_core(2, den, coalitions=allsub))
         assert pkg == brute, den
 
 
 def test_effective_family_loses_nothing_against_exhaustive():
     for k, den in ((1, 2), (1, 4), (2, 2), (2, 4)):
-        assert grid_core(econ(den, k)) == grid_core(econ(den, k), exhaustive=True)
+        assert grid_core(econ(den, k)) == grid_core(econ(den, k), coalitions=all_subsets(k))
 
 
 def test_replication_shrinks_the_core_per_type():
@@ -300,18 +298,11 @@ def test_withholding_triples_restores_blocked_allocations():
     assert Allocation(F_ALLOCATION) not in full
 
 
-def test_custom_family_must_not_mix_with_exhaustive():
-    with pytest.raises(InvalidInputError):
-        grid_core(econ(2, 1), coalitions=[((1, 1),)], exhaustive=True)
-
-
 def test_grid_core_size_guards():
     with pytest.raises(UnsupportedSizeError):
         grid_core(econ(4, 3))
     with pytest.raises(UnsupportedSizeError):
         grid_core(econ(16, 2))
-    with pytest.raises(UnsupportedSizeError):
-        grid_core(econ(8, 2), exhaustive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +487,7 @@ def test_witness_is_none_exactly_on_the_core():
                 assert econ_dominates(e, Allocation(atom.vector), x, members)
                 j = e.participant_index(sigma)
                 assert j in members
-                assert utility_compare("ces", atom.vector[j - 1], x.bundles[j - 1]) > 0
+                assert utility_compare(atom.vector[j - 1], x.bundles[j - 1]) > 0
             assert hits == len(core)
 
 
@@ -507,7 +498,6 @@ def test_staircase_splits_are_dominating_profiles():
     # reads only the members' bundles, so each distinct one runs once
     from epicore.replica import _plan
     blocking = set()
-    peeled = set()
     checked = set()
     for k, dens in ((1, range(1, 9)), (2, range(1, 4))):
         for den in dens:
@@ -524,8 +514,6 @@ def test_staircase_splits_are_dominating_profiles():
                     if first is None:
                         first = idxs
                     blocking.add(idxs)
-                    if len(idxs) == 3:
-                        peeled.add(plan._blocked_by(idxs, ranks)[0])
                     key = (den, idxs, bundles, tuple(units[j - 1] for j in idxs))
                     if key in checked:
                         continue
@@ -535,9 +523,35 @@ def test_staircase_splits_are_dominating_profiles():
                         y[j - 1] = (F(m1, den), F(m2, den))
                     assert econ_dominates(e, Allocation(y), x, idxs), (x, idxs)
                 assert plan.blocked(ranks) == first
-    # (1, 2, 3) peels its one type-2 member, the last of the three
-    assert peeled == {0, 2}
     assert blocking == set(_plan(econ(3, 2)).family) | {(1,), (2,), (1, 2)}
+
+
+def test_blocking_search_is_complete_against_brute_force():
+    # the peel-and-recurse search finds a dominating split exactly when raw
+    # enumeration of the coalition's splits does, for coalitions of every
+    # size and so for both peel positions of a triple and for the grand
+    # coalition; the triples alone at D = 3
+    from epicore.replica import _plan
+    cases = [(den, all_subsets(2)) for den in (1, 2)]
+    cases.append((3, [s for s in all_subsets(2) if len(s) == 3]))
+    checked = set()
+    for den, coalitions in cases:
+        e = econ(den, 2)
+        plan = _plan(e)
+        for x in _grid_allocations(2, den):
+            units = x.units(den)
+            ranks = tuple(plan.tables.rank[u] for u in units)
+            for s in coalitions:
+                bundles = plan.bundles(s, ranks)
+                assert (bundles is not None) == brute_blocks(2, den, units, s), (x, s)
+                key = (den, s, bundles, tuple(units[j - 1] for j in s))
+                if bundles is None or key in checked:
+                    continue
+                checked.add(key)
+                y = [(0, 0)] * 4
+                for j, (m1, m2) in zip(s, bundles):
+                    y[j - 1] = (F(m1, den), F(m2, den))
+                assert econ_dominates(e, Allocation(y), x, s), (x, s)
 
 
 def test_witness_atoms_certify_a_checked_proof():
@@ -601,8 +615,8 @@ def test_unequal_treatment_is_always_dominated(a1, a2, b1, b2, c1, c2):
     bundles = ((F(a1, 16), F(a2, 16)), (F(b1, 16), F(b2, 16)),
                (F(c1, 16), F(c2, 16)), (F(d1, 16), F(d2, 16)))
     x = Allocation(bundles)
-    t1 = utility_compare("ces", bundles[0], bundles[1])
-    t2 = utility_compare("ces", bundles[2], bundles[3])
+    t1 = utility_compare(bundles[0], bundles[1])
+    t2 = utility_compare(bundles[2], bundles[3])
     assume(t1 != 0 or t2 != 0)
     worst1 = bundles[0] if t1 <= 0 else bundles[1]
     worst2 = bundles[2] if t2 <= 0 else bundles[3]
