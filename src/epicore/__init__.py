@@ -13,7 +13,6 @@ from .games import (
     enumerate_integer_core,
 )
 from .logic import (
-    GRID_ORACLE,
     ProofTree,
     Rule,
     ThoughtSequent,
@@ -35,7 +34,6 @@ from .analysis import (
     prop51_check,
 )
 from .replica import (
-    UTILITY_ORACLE,
     Allocation,
     EdgeworthEconomy,
     ReplicaEconomy,

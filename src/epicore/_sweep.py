@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .acceptability import _atom_space, _Emitter, _purge_spaces, decide
 from .errors import VerificationFailure
 from .games import PayoffVector, TUGame, all_coalitions
-from .logic import GRID_ORACLE, ChainCache, Not, check_proof, collector_paused
+from .logic import ChainCache, Not, check_proof, collector_paused
 
 
 @dataclass
@@ -70,8 +70,7 @@ def _check_class(emitter: _Emitter, space, i, xu, verdict, stats, label):
         return
 
     # most shared subtrees of an acceptable proof are the emitter's
-    res = check_proof(proof, GRID_ORACLE,
-                      ChainCache(emitter.checked, space.checked))
+    res = check_proof(proof, ChainCache(emitter.checked, space.checked))
     if not res.ok:
         stats.failures.append(f"{label}: proof rejected at {res.path}: {res.reason}")
 

@@ -9,7 +9,7 @@ on the coalition and strictly improves i.
 
 `decide` settles the question semantically (three-case analysis, constant
 memory); `emit_proof` produces the corresponding sequent-calculus proof
-tree, which `check_proof` validates against the grid comparison oracle.
+tree, which `check_proof` validates, comparing grid units in plain order.
 Both agree by construction; the test suite re-verifies the agreement
 exhaustively on small games.
 
@@ -30,7 +30,6 @@ from .errors import InvalidInputError, UnsupportedSizeError
 from .games import Coalition, PayoffVector, TUGame, all_coalitions
 from .logic import (
     EMPTY_SET,
-    GRID_ORACLE,
     Ach,
     And,
     ChainCache,
@@ -229,7 +228,7 @@ class _AtomSpace:
 
     def _seed(self, tree: ProofTree) -> ProofTree:
         # long-lived stub: record it (and descendants) in the check cache
-        res = check_proof(tree, GRID_ORACLE, self.checked)
+        res = check_proof(tree, self.checked)
         assert res.ok, f"internal: bad refutation stub: {res.reason}"
         return tree
 
@@ -249,7 +248,7 @@ class _AtomSpace:
 
     def refute_strict(self, i: int, units, tag, x_units, strict: And) -> ProofTree:
         """B[{y > x at i} -> ] when y_i <= x_i: the negated conjunct is
-        refuted by the oracle and the conjunction collapses onto it."""
+        refuted by a comparison axiom and the conjunction collapses onto it."""
         key = ("strict", i, units, tag, x_units)
         node = self._stub.get(key)
         if node is None:
@@ -268,7 +267,7 @@ class _AtomSpace:
 
     def refute_comparison(self, i: int, units, tag, x_units, geq: Geq) -> ProofTree:
         """B[{y >=_S x} -> ] when the comparison fails at some member: cut
-        against the oracle's refutation."""
+        against the comparison axiom's refutation."""
         key = ("geq", i, units, tag, x_units)
         node = self._stub.get(key)
         if node is None:
@@ -451,7 +450,7 @@ class _Emitter:
                 node = ProofTree(
                     ThoughtSequent(prefix, gamma_fs.with_(atom), EMPTY_SET),
                     Rule.Th, (space.refute_atom(self.i, units, tag),))
-                res = check_proof(node, GRID_ORACLE, cache)
+                res = check_proof(node, cache)
                 assert res.ok, f"internal: bad atom-case branch: {res.reason}"
                 table.append(node)
             table = self._case1 = tuple(table)
@@ -516,8 +515,7 @@ def _emitter(game: TUGame, i: int, family: tuple[Coalition, ...]) -> _Emitter:
 
 def emit_proof(game: TUGame, i: int, family: Iterable[Coalition], x: PayoffVector) -> ProofTree:
     """Proof tree for the decide() verdict: the acceptability formula when
-    acceptable, its negation when not.  Always passes check_proof under the
-    grid oracle."""
+    acceptable, its negation when not.  Always passes check_proof."""
     verdict = decide(game, i, family, x)
     emitter = _emitter(game, i, normalize_family(family, game.n))
     if verdict.acceptable:

@@ -44,9 +44,8 @@ from .jsonio import (
     rational_from_str,
     rational_to_str,
 )
-from .logic import GRID_ORACLE, check_proof, collector_paused
+from .logic import check_proof, collector_paused
 from .replica import (
-    UTILITY_ORACLE,
     ReplicaEconomy,
     effective_coalitions,
     grid_core,
@@ -107,7 +106,7 @@ def _cmd_prove(args) -> int:
     # round-trip before trusting the artifact: what was written must
     # re-parse and pass the kernel
     reloaded = proof_from_obj(load_json(args.output))
-    res = check_proof(reloaded, GRID_ORACLE)
+    res = check_proof(reloaded)
     if not res.ok:
         print(f"verification failure: written proof rejected at {list(res.path)}: "
               f"{res.reason}", file=sys.stderr)
@@ -121,8 +120,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_check(args) -> int:
     proof = proof_from_obj(load_json(args.proof))
-    oracle = UTILITY_ORACLE if args.oracle == "utility" else GRID_ORACLE
-    res = check_proof(proof, oracle)
+    res = check_proof(proof)
     if not res.ok:
         print(f"rejected at {list(res.path)}: {res.reason}", file=sys.stderr)
         return 2
@@ -284,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a proof file with the kernel")
     p.add_argument("proof")
-    p.add_argument("--oracle", choices=("grid", "utility"), default="grid",
-                   help="comparison oracle for non-logical axioms")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="survey profiles against the core")

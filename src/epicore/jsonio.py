@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from .errors import InvalidInputError
 from .games import Coalition, TUGame
-from .replica import Allocation, EdgeworthEconomy, ReplicaEconomy
+from .replica import Allocation, EdgeworthEconomy, ReplicaEconomy, _as_bundle
 from .logic import (
     Ach,
     And,
@@ -169,7 +169,7 @@ def payload_from_obj(obj: Any, grid: Optional[dict] = None) -> tuple:
         for bundle in obj:
             if not isinstance(bundle, list):
                 raise InvalidInputError("vector mixes array and scalar entries")
-            out.append(tuple(rational_from_str(c) for c in bundle))
+            out.append(_as_bundle(tuple(map(rational_from_str, bundle))))
         return tuple(out)
     n = len(obj)
     memo = {} if grid is None else grid.setdefault(n, {})
@@ -298,12 +298,7 @@ class _Tables:
         # canonical order, so that ids never follow set iteration order;
         # keys expand a formula, so a lone one is not sorted
         if len(formulas) > 1:
-            try:
-                formulas = sorted(formulas, key=lambda f: f.key())
-            except TypeError:
-                # a side over scalar and bundle payloads, which a loaded
-                # file may hold: scalars then sort before tuples
-                formulas = sorted(formulas, key=lambda f: _total_key(f.key()))
+            formulas = sorted(formulas, key=lambda f: f.key())
         return [self.formula(f) for f in formulas]
 
     def side(self, fs: FormulaSet) -> dict:
@@ -316,12 +311,6 @@ class _Tables:
             out["base"] = k
         out["delta"] = self.ids(fs.extra)
         return out
-
-
-def _total_key(key):
-    if type(key) is tuple:
-        return (1, tuple(map(_total_key, key)))
-    return (0, key)
 
 
 def proof_to_obj(tree: ProofTree) -> dict:
@@ -366,6 +355,11 @@ def proof_from_obj(obj: Any) -> ProofTree:
     _fields(obj, "proof file", ("vectors", "formulas", "sets", "nodes"))
     grid: dict = {}
     vectors = [payload_from_obj(v, grid) for v in _array(obj, "vectors")]
+    # the kernel reads the comparison from the payload kind, so one file
+    # holds one game's grid units or one economy's bundles
+    for k, v in enumerate(vectors):
+        if len(v) != len(vectors[0]) or type(v[0]) is not type(vectors[0][0]):
+            raise InvalidInputError(f"vector {k} differs in length or kind from vector 0")
     formula_rows, set_rows, rows = (_array(obj, name) for name in ("formulas", "sets", "nodes"))
     # a set row that is not an array is refused below
     budget = WORK_PER_ENTRY * (len(formula_rows) + len(rows)
@@ -483,11 +477,7 @@ def _formula_table(rows: list, vectors: list, budget: int) -> tuple[list, int]:
                 unique = set(ids)
                 if len(unique) < len(ids):
                     ids = list(unique)
-                try:
-                    ids.sort(key=keys.__getitem__)
-                except TypeError:
-                    raise InvalidInputError(f"formula {here} joins payloads of "
-                                            "different kinds") from None
+                ids.sort(key=keys.__getitem__)
                 shallow = (tag, *ids)
             elif tag == _BEL:
                 shallow = (tag, _agent(row["agent"]), ids[0])
@@ -518,8 +508,6 @@ def _atom(tag: int, row: dict, vectors: list, names: dict) -> tuple[Formula, tup
         return Ach(vec, c), (_ACH, ck, vec)
     left = _ref(vectors, row["left"], "vector")
     right = _ref(vectors, row["right"], "vector")
-    if len(left) != len(right) or type(left[0]) is not type(right[0]):
-        raise InvalidInputError("geq compares payloads of different shapes")
     # the kernel reads both payloads at every member of `over`
     over, ok = _coalition(row["over"], names)
     if over.members[-1] > len(left):

@@ -7,15 +7,15 @@ plus two axiom forms:
 
   * logical axioms  B_e[A -> A]
   * non-logical axioms: comparison facts  B_e[-> y >= x over S]  and their
-    negations, decided by a pluggable comparison oracle, a plain callable
-    (integer grid units for payoff comparisons, exact utility comparison
-    for economies).
+    negations, decided from the payloads themselves.
 
 Formulas are immutable, hash-cached, and compared structurally.  Payoff
 vectors inside atoms are carried as tuples of integer grid units (the
 owning layer fixes the unit 1/n and converts to exact rationals at the
-boundary); economy atoms carry tuples of commodity bundles instead.  The
-kernel never interprets payloads, it only asks the oracle.
+boundary), which compare in plain order; economy atoms carry tuples of
+commodity bundles instead, pairs of rationals compared by exact CES
+utility.  A comparison between entries of different kinds is neither true
+nor false, so neither it nor its negation is an axiom.
 
 Sequent sides use FormulaSet, a layered immutable set: a big shared base
 (typically a knowledge set reused across thousands of sequents) plus a
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
-from operator import ge, is_
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from operator import is_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInputError
 from .games import Coalition
@@ -533,18 +533,64 @@ def witness_derivation(prefix: Sequence[int], gamma: FormulaSet, witness: And) -
 # axioms
 
 
-# an oracle decides the per-player comparison of two payload values;
-# payoff payloads are integer grid units, compared in plain order
-Oracle = Callable[[Any, Any], bool]
-GRID_ORACLE: Oracle = ge
+def _radical_cmp(s1, p1, s2, p2) -> int:
+    """Sign of (s1 + 2*sqrt(p1)) - (s2 + 2*sqrt(p2)), all arguments rational.
+
+    Both radicands must be non-negative.  Works on int and Fraction alike;
+    only ring operations and comparisons are used.
+    """
+    s = s1 - s2
+    # L = s + 2*sqrt(p1) versus R = 2*sqrt(p2) >= 0.  If L < 0 the answer
+    # is immediate; otherwise both sides are non-negative and squaring is
+    # order-preserving.
+    if s < 0 and 4 * p1 < s * s:
+        return -1
+    # L^2 - R^2 = s^2 + 4 p1 - 4 p2 + 4 s sqrt(p1): compare c*sqrt(p1) vs w.
+    c = 4 * s
+    w = 4 * p2 - s * s - 4 * p1
+    lhs_sign = 0 if p1 == 0 or c == 0 else (1 if c > 0 else -1)
+    w_sign = (w > 0) - (w < 0)
+    if lhs_sign != w_sign:
+        return 1 if lhs_sign > w_sign else -1
+    if lhs_sign == 0:
+        return 0
+    a, b = c * c * p1, w * w
+    if a == b:
+        return 0
+    out = 1 if a > b else -1
+    return out if lhs_sign > 0 else -out
 
 
-def _geq_holds(f: Geq, oracle: Oracle) -> bool:
+def _cmp_units(a: tuple, b: tuple) -> int:
+    """CES utility order (exponent 1/2) of two bundles: -1, 0 or 1.
+
+    u(x1, x2) = x1 + x2 + 2*sqrt(x1*x2).  Bundles of rationals or unit
+    counts alike: scaling both by one factor keeps their order, since the
+    utility is homogeneous.
+    """
+    return _radical_cmp(a[0] + a[1], a[0] * a[1], b[0] + b[1], b[0] * b[1])
+
+
+def _geq_holds(f: Geq) -> Optional[bool]:
+    """Whether left >= right at every member of `over`: integer grid units
+    in plain order, bundles by utility.  None when some compared pair of
+    entries differs in kind."""
     left, right = f.left, f.right
+    holds = True
     for p in f.over.members:
-        if not oracle(left[p - 1], right[p - 1]):
-            return False
-    return True
+        a, b = left[p - 1], right[p - 1]
+        t = type(a)
+        if t is not type(b):
+            return None
+        if t is int:
+            if a < b:
+                holds = False
+        elif t is tuple and len(a) == 2 == len(b):
+            if _cmp_units(a, b) < 0:
+                holds = False
+        else:
+            return None
+    return holds
 
 
 def is_logical_axiom(seq: ThoughtSequent) -> bool:
@@ -552,20 +598,20 @@ def is_logical_axiom(seq: ThoughtSequent) -> bool:
     return len(seq.ante) == 1 and seq.ante == seq.succ
 
 
-def is_nonlogical_axiom(seq: ThoughtSequent, oracle: Oracle) -> bool:
+def is_nonlogical_axiom(seq: ThoughtSequent) -> bool:
     """Comparison facts with empty antecedent and a singleton succedent.
 
-    B_e[-> left >= right over S]      iff the oracle confirms every member;
-    B_e[-> not(left >= right over S)] iff the oracle refutes some member.
+    B_e[-> left >= right over S]      iff every member's comparison holds;
+    B_e[-> not(left >= right over S)] iff some member's comparison fails.
     Any prefix is allowed.
     """
     if seq.ante or len(seq.succ) != 1:
         return False
     (f,) = tuple(seq.succ)
     if type(f) is Geq:
-        return _geq_holds(f, oracle)
+        return _geq_holds(f) is True
     if type(f) is Not and type(f.child) is Geq:
-        return not _geq_holds(f.child, oracle)
+        return _geq_holds(f.child) is False
     return False
 
 
@@ -860,8 +906,7 @@ _OK = CheckResult(True)
 _AXIOMS = frozenset((Rule.LogicalAxiom, Rule.NonLogicalAxiom))
 
 
-def check_proof(tree: ProofTree, oracle: Oracle,
-                cache: Optional[dict] = None) -> CheckResult:
+def check_proof(tree: ProofTree, cache: Optional[dict] = None) -> CheckResult:
     """Validate every node of a proof tree.
 
     `cache` maps checked subtrees (hashed by identity) to their
@@ -874,13 +919,13 @@ def check_proof(tree: ProofTree, oracle: Oracle,
         hit = cache.get(tree)
         if hit is not None:
             return hit
-    res = _check_node(tree, oracle, cache)
+    res = _check_node(tree, cache)
     if cache is not None:
         cache[tree] = res
     return res
 
 
-def _check_node(tree, oracle, cache) -> CheckResult:
+def _check_node(tree, cache) -> CheckResult:
     rule = tree.rule
     seq = tree.sequent
     children = tree.children
@@ -890,8 +935,8 @@ def _check_node(tree, oracle, cache) -> CheckResult:
         if rule is Rule.LogicalAxiom:
             if not is_logical_axiom(seq):
                 return CheckResult(False, (), "not a logical axiom")
-        elif not is_nonlogical_axiom(seq, oracle):
-            return CheckResult(False, (), "not a non-logical axiom under this oracle")
+        elif not is_nonlogical_axiom(seq):
+            return CheckResult(False, (), "not a non-logical axiom")
         return _OK
     reason = _rule_failure(seq, tuple([c.sequent for c in children]), rule, tree.meta)
     if reason is not None:
@@ -899,11 +944,11 @@ def _check_node(tree, oracle, cache) -> CheckResult:
     for k, child in enumerate(children):
         # check_proof inlined: one cache lookup per child, no extra frame
         if cache is None:
-            sub = _check_node(child, oracle, None)
+            sub = _check_node(child, None)
         else:
             sub = cache.get(child)
             if sub is None:
-                sub = cache[child] = _check_node(child, oracle, cache)
+                sub = cache[child] = _check_node(child, cache)
         if not sub.ok:
             return CheckResult(False, (k,) + sub.path, sub.reason)
     return _OK

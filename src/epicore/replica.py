@@ -34,6 +34,7 @@ from .logic import (
     And,
     FormulaSet,
     Geq,
+    _cmp_units,
     check_proof,
     strict_gain,
     witness_derivation,
@@ -44,40 +45,6 @@ Bundle = tuple[Fraction, Fraction]
 
 # ---------------------------------------------------------------------------
 # exact utility comparison
-
-
-def _radical_cmp(s1, p1, s2, p2) -> int:
-    """Sign of (s1 + 2*sqrt(p1)) - (s2 + 2*sqrt(p2)), all arguments rational.
-
-    Both radicands must be non-negative.  Works on int and Fraction alike;
-    only ring operations and comparisons are used.
-    """
-    s = s1 - s2
-    # L = s + 2*sqrt(p1) versus R = 2*sqrt(p2) >= 0.  If L < 0 the answer
-    # is immediate; otherwise both sides are non-negative and squaring is
-    # order-preserving.
-    if s < 0 and 4 * p1 < s * s:
-        return -1
-    # L^2 - R^2 = s^2 + 4 p1 - 4 p2 + 4 s sqrt(p1): compare c*sqrt(p1) vs w.
-    c = 4 * s
-    w = 4 * p2 - s * s - 4 * p1
-    lhs_sign = 0 if p1 == 0 or c == 0 else (1 if c > 0 else -1)
-    w_sign = (w > 0) - (w < 0)
-    if lhs_sign != w_sign:
-        return 1 if lhs_sign > w_sign else -1
-    if lhs_sign == 0:
-        return 0
-    a, b = c * c * p1, w * w
-    if a == b:
-        return 0
-    out = 1 if a > b else -1
-    return out if lhs_sign > 0 else -out
-
-
-def _cmp_units(a: tuple, b: tuple) -> int:
-    # bundles of rationals or unit counts: scaling both by one factor keeps
-    # their order, since CES with exponent 1/2 is homogeneous
-    return _radical_cmp(a[0] + a[1], a[0] * a[1], b[0] + b[1], b[0] * b[1])
 
 
 def utility_compare(a: Sequence, b: Sequence) -> int:
@@ -104,14 +71,6 @@ def _as_bundle(raw) -> Bundle:
     return pair
 
 
-def _utility_geq(left_value, right_value) -> bool:
-    # payoff-vector entries that are commodity bundles, compared by utility
-    return utility_compare(left_value, right_value) >= 0
-
-
-UTILITY_ORACLE = _utility_geq
-
-
 # ---------------------------------------------------------------------------
 # economies and allocations
 
@@ -129,13 +88,6 @@ class EdgeworthEconomy:
     def __post_init__(self):
         if not isinstance(self.grid_denominator, int) or self.grid_denominator < 1:
             raise InvalidInputError("grid denominator must be a positive integer")
-
-    def endowment(self, agent_type: int) -> Bundle:
-        if agent_type == 1:
-            return (Fraction(1), Fraction(0))
-        if agent_type == 2:
-            return (Fraction(0), Fraction(1))
-        raise InvalidInputError(f"agent type must be 1 or 2, got {agent_type}")
 
 
 @dataclass(frozen=True)
@@ -164,12 +116,6 @@ class ReplicaEconomy:
         if i not in (1, 2) or not 1 <= t <= self.k:
             raise InvalidInputError(f"no participant {sigma!r} in a {self.k}-fold replica")
         return (i - 1) * self.k + t
-
-    def type_of(self, index: int) -> int:
-        return 1 if index <= self.k else 2
-
-    def endowment(self, sigma: tuple[int, int]) -> Bundle:
-        return self.base.endowment(sigma[0])
 
 
 class Allocation:
@@ -736,9 +682,9 @@ def partial_knowledge_witness(economy: ReplicaEconomy, x: Allocation):
     If x lies outside the grid core, returns (sigma, {ach}) where ach
     asserts that some effective coalition T containing sigma can achieve
     a bundle profile dominating x, with sigma gaining strictly.  The
-    blocking derivation is re-checked with the sequent kernel and the
-    utility oracle before returning.  Returns None exactly when x is in
-    the grid core.
+    blocking derivation is re-checked with the sequent kernel, which
+    compares bundles by utility, before returning.  Returns None exactly
+    when x is in the grid core.
     """
     _check_allocation(economy, x, "x")
     if not _feasible_total(economy, x):
@@ -773,7 +719,7 @@ def _certify(economy: ReplicaEconomy, x: Allocation, idxs: tuple[int, ...],
     witness = And((ach, Geq(y_vec, tag, tag, x_vec, grand),
                    strict_gain(y_vec, tag, sigma_idx, x_vec, grand)))
     root = witness_derivation((sigma_idx,), FormulaSet.of((ach,)), witness)
-    res = check_proof(root, UTILITY_ORACLE)
+    res = check_proof(root)
     if not res.ok:
         raise VerificationFailure(
             f"rejection derivation failed kernel check: {res.reason}")

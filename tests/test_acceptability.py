@@ -33,7 +33,6 @@ from epicore.acceptability import (
 )
 from epicore.games import all_coalitions
 from epicore.logic import (
-    GRID_ORACLE,
     Ach,
     And,
     Geq,
@@ -294,7 +293,7 @@ def test_acceptable_proof_concludes_the_formula():
     succ = list(proof.sequent.succ)
     assert len(succ) == 1
     assert isinstance(succ[0], Not) and isinstance(succ[0].child, Or)
-    assert check_proof(proof, GRID_ORACLE).ok
+    assert check_proof(proof).ok
 
 
 def test_unacceptable_proof_concludes_the_negation():
@@ -303,20 +302,20 @@ def test_unacceptable_proof_concludes_the_negation():
     succ = list(proof.sequent.succ)
     assert isinstance(succ[0], Not) and isinstance(succ[0].child, Not)
     assert proof.size() == 12
-    assert check_proof(proof, GRID_ORACLE).ok
+    assert check_proof(proof).ok
 
 
 def test_case_one_proof_checks():
     g = tiny()
     proof = emit_proof(g, 1, [], PayoffVector.of(g.bound, 0))
-    assert check_proof(proof, GRID_ORACLE).ok
+    assert check_proof(proof).ok
 
 
 def test_checker_rejects_wrong_rule_label():
     g = tiny()
     proof = emit_proof(g, 1, [c("1")], PayoffVector.of(0, 3))
     forged = ProofTree(proof.sequent, Rule.AndRight, proof.children, proof.meta)
-    res = check_proof(forged, GRID_ORACLE)
+    res = check_proof(forged)
     assert not res.ok
 
 
@@ -326,14 +325,14 @@ def test_checker_rejects_detached_subtree():
     good = emit_proof(g, 1, [c("1")], PayoffVector.of(0, 3))
     other = emit_proof(g, 1, [c("1")], PayoffVector.of(1, 2))
     forged = ProofTree(other.sequent, good.rule, good.children, good.meta)
-    assert not check_proof(forged, GRID_ORACLE).ok
+    assert not check_proof(forged).ok
 
 
 def test_repeated_emission_shares_no_stale_state():
     g = tiny()
     for x in (PayoffVector.of(0, 3), PayoffVector.of(1, 2), PayoffVector.of(0, 0)):
         p = emit_proof(g, 1, [c("1")], x)
-        assert check_proof(p, GRID_ORACLE).ok
+        assert check_proof(p).ok
 
 
 @settings(max_examples=25, deadline=None)
@@ -350,7 +349,7 @@ def test_emitted_proofs_always_check(worths, data):
     succ = list(proof.sequent.succ)
     negated = isinstance(succ[0], Not) and isinstance(succ[0].child, Not)
     assert negated == (not verdict.acceptable)
-    assert check_proof(proof, GRID_ORACLE).ok
+    assert check_proof(proof).ok
 
 
 @pytest.mark.parametrize("n, bound", [(3, 8), (4, 2)])

@@ -13,10 +13,11 @@ import importlib.util
 import json
 import pathlib
 import time
+from fractions import Fraction as F
 
 import pytest
 
-from epicore import acceptability, cli
+from epicore import acceptability, cli, replica
 from epicore.cli import main
 from epicore.games import all_coalitions
 from epicore.jsonio import (
@@ -24,8 +25,9 @@ from epicore.jsonio import (
     economy_from_obj,
     load_json,
     proof_from_obj,
+    proof_to_obj,
 )
-from epicore.logic import GRID_ORACLE, check_proof
+from epicore.logic import check_proof
 from epicore.replica import EdgeworthEconomy, ReplicaEconomy
 
 
@@ -181,7 +183,7 @@ def test_prove_then_check_round_trip(min_path, tmp_path, capsys):
 
     # the artifact stands on its own through the library entry points
     proof = proof_from_obj(load_json(proof_file))
-    assert check_proof(proof, GRID_ORACLE).ok
+    assert check_proof(proof).ok
 
 
 def test_prove_acceptable_polarity(min_path, tmp_path, capsys):
@@ -301,7 +303,8 @@ def _expect_one_error_line(code, err, elapsed, reason):
 @pytest.mark.parametrize("obj, reason", [
     (_axiom_file([{"t": "ach", "coalition": "1"}]), "needs field 'vector'"),
     (_axiom_file([dict(_GEQ, over="5")]), "exceeds the payload length"),
-    (_axiom_file([dict(_GEQ, over="2")], vectors=(["1", "0"], ["0"])), "different shapes"),
+    (_axiom_file([dict(_GEQ, over="2")], vectors=(["1", "0"], ["0"])),
+     "differs in length or kind"),
     (_axiom_file([_GEQ], meta=[]), "meta must be an object"),
     (_axiom_file([_GEQ], prefix=["x", [1], None]), "agent ids"),
     (_axiom_file([_GEQ], prefix=[{"a": 1}]), "agent ids"),
@@ -310,13 +313,45 @@ def _expect_one_error_line(code, err, elapsed, reason):
     (_axiom_file([_GEQ], meta={"agent": "x"}), "agent ids"),
     (_axiom_file([_GEQ], meta={"agent": 0}), "agent ids"),
     (_bel_axiom(True), "agent ids"),
+    (_axiom_file([_GEQ], vectors=([["1"]], [["0", "0"]])), "exactly two commodity"),
+    (_axiom_file([_GEQ], vectors=([["1", "0", "5"]], [["0", "0"]])), "exactly two commodity"),
+    (_axiom_file([_GEQ], vectors=([["-1", "4"]], [["0", "0"]])), "non-negative"),
 ], ids=["ach-without-vector", "over-beyond-payload", "payload-lengths-differ",
         "meta-is-a-list", "prefix-entries-not-ints", "prefix-entry-object",
         "prefix-entry-zero", "prefix-entry-bool", "meta-agent-string",
-        "meta-agent-zero", "bel-agent-bool"])
+        "meta-agent-zero", "bel-agent-bool", "bundle-of-one", "bundle-of-three",
+        "bundle-negative"])
 def test_check_rejects_malformed_formula_objects(obj, reason, tmp_path, capsys):
     code, _, err, elapsed = _run_check(obj, tmp_path, capsys)
     _expect_one_error_line(code, err, elapsed, reason)
+
+
+@pytest.mark.parametrize("left, right, code", [
+    (["1/4", "0"], ["0", "1/2"], 2),
+    (["0", "1/2"], ["1/4", "0"], 0),
+], ids=["lexicographic-but-worse", "better"])
+def test_check_compares_bundles_by_utility(left, right, code, tmp_path, capsys):
+    # (1/4, 0) comes first in lexicographic order but is worth 1/4 < 1/2
+    geq = {"t": "geq", "left": 0, "left_tag": "1", "over": "1", "right": 1, "right_tag": "1"}
+    got, _, err, _ = _run_check(_axiom_file([geq], vectors=([left], [right])), tmp_path, capsys)
+    assert got == code
+    assert ("non-logical axiom" in err) == (code == 2)
+
+
+def test_check_accepts_a_written_replica_witness_derivation(monkeypatch, tmp_path, capsys):
+    derivations = []
+    check = replica.check_proof
+    monkeypatch.setattr(replica, "check_proof",
+                        lambda root: derivations.append(root) or check(root))
+    # blocked at k = 2 by a near-balanced triple, over bundles on the 1/8 grid
+    low, high = (F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))
+    x = replica.Allocation((low, low, high, high))
+    assert replica.partial_knowledge_witness(ReplicaEconomy(EdgeworthEconomy(8), 2), x)
+    (root,) = derivations
+    path = str(tmp_path / "witness.json")
+    dump_json(proof_to_obj(root), path)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
 
 
 def _leaf():
@@ -557,11 +592,6 @@ def test_cli_keeps_every_name_the_benchmark_rebinds():
         "load_game", "decide"}
     for owner, attr in rebound:
         assert hasattr(owner, attr), (owner, attr)
-
-
-def test_check_unknown_oracle_is_a_usage_error(min_path, tmp_path, capsys):
-    assert main(["check", str(tmp_path / "x.json"), "--oracle", "votes"]) == 1
-    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

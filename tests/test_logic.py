@@ -7,6 +7,8 @@ cases (principal formula already present in the context) are covered
 explicitly.
 """
 
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from epicore.errors import InvalidInputError
 from epicore.games import Coalition
 from epicore.logic import (
     EMPTY_SET,
-    GRID_ORACLE,
     Ach,
     And,
     Bel,
@@ -121,18 +122,46 @@ def test_logical_axiom_shape():
 
 
 def test_nonlogical_axiom_comparisons():
-    assert is_nonlogical_axiom(seq([], [G_TRUE]), GRID_ORACLE)
-    assert not is_nonlogical_axiom(seq([], [G_FALSE]), GRID_ORACLE)
-    assert is_nonlogical_axiom(seq([], [Not(G_FALSE)]), GRID_ORACLE)
-    assert not is_nonlogical_axiom(seq([], [Not(G_TRUE)]), GRID_ORACLE)
+    assert is_nonlogical_axiom(seq([], [G_TRUE]))
+    assert not is_nonlogical_axiom(seq([], [G_FALSE]))
+    assert is_nonlogical_axiom(seq([], [Not(G_FALSE)]))
+    assert not is_nonlogical_axiom(seq([], [Not(G_TRUE)]))
     # every compared player must pass
     g_mixed = Geq((4, 0), C12, C12, (3, 3), C12)
-    assert not is_nonlogical_axiom(seq([], [g_mixed]), GRID_ORACLE)
-    assert is_nonlogical_axiom(seq([], [Not(g_mixed)]), GRID_ORACLE)
+    assert not is_nonlogical_axiom(seq([], [g_mixed]))
+    assert is_nonlogical_axiom(seq([], [Not(g_mixed)]))
     # shape constraints
-    assert not is_nonlogical_axiom(seq([P], [G_TRUE]), GRID_ORACLE)
-    assert not is_nonlogical_axiom(seq([], [G_TRUE, P]), GRID_ORACLE)
-    assert not is_nonlogical_axiom(seq([], [P]), GRID_ORACLE)
+    assert not is_nonlogical_axiom(seq([P], [G_TRUE]))
+    assert not is_nonlogical_axiom(seq([], [G_TRUE, P]))
+    assert not is_nonlogical_axiom(seq([], [P]))
+
+
+def test_bundle_comparisons_go_by_utility():
+    # (1/4, 0) is lexicographically above (0, 1/2) but worth 1/4 < 1/2
+    low, high = ((F(1, 4), F(0)),), ((F(0), F(1, 2)),)
+    assert not is_nonlogical_axiom(seq([], [Geq(low, C1, C1, high, C1)]))
+    assert is_nonlogical_axiom(seq([], [Not(Geq(low, C1, C1, high, C1))]))
+    assert is_nonlogical_axiom(seq([], [Geq(high, C1, C1, low, C1)]))
+    # (1/2, 1/2) is worth 2, (1, 0) only 1; equal utilities compare both ways
+    mixed, corner = ((F(1, 2), F(1, 2)),), ((F(1), F(0)),)
+    assert is_nonlogical_axiom(seq([], [Geq(mixed, C1, C1, corner, C1)]))
+    assert is_nonlogical_axiom(seq([], [Geq(corner, C1, C1, ((F(0), F(1)),), C1)]))
+
+
+@pytest.mark.parametrize("left, right, over", [
+    ((1, 0), ((F(1), F(0)), (F(0), F(0))), C1),
+    (((F(1), F(0)), (F(0), F(0))), (1, 0), C12),
+    # player 1 refutes in grid units, player 2 pairs a unit with a bundle
+    ((0, 1), (1, (F(0), F(0))), C12),
+], ids=["unit-vs-bundle", "bundle-vs-unit", "refuted-then-mixed"])
+def test_mixed_kind_comparison_is_no_axiom_and_never_raises(left, right, over):
+    g = Geq(left, C12, over, right, C12)
+    assert not is_nonlogical_axiom(seq([], [g]))
+    assert not is_nonlogical_axiom(seq([], [Not(g)]))
+    for f in (g, Not(g)):
+        res = check_proof(ProofTree(seq([], [f]), Rule.NonLogicalAxiom))
+        assert not res
+        assert "non-logical axiom" in res.reason
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +460,14 @@ def build_small_proof():
 
 
 def test_check_proof_accepts_valid_tree():
-    assert check_proof(build_small_proof(), GRID_ORACLE)
+    assert check_proof(build_small_proof())
 
 
 def test_check_proof_locates_corruption():
     ax = ProofTree(seq([], [G_FALSE]), Rule.NonLogicalAxiom)      # false comparison
     nl = ProofTree(seq([Not(G_FALSE)], []), Rule.NotLeft, (ax,))
     nr = ProofTree(seq([], [Not(Not(G_FALSE))]), Rule.NotRight, (nl,))
-    res = check_proof(nr, GRID_ORACLE)
+    res = check_proof(nr)
     assert not res
     assert res.path == (0, 0)
     assert "non-logical axiom" in res.reason
@@ -447,22 +476,14 @@ def test_check_proof_locates_corruption():
 def test_check_proof_rejects_axiom_with_children():
     ax = ProofTree(seq([P], [P]), Rule.LogicalAxiom,
                    (ProofTree(seq([P], [P]), Rule.LogicalAxiom),))
-    assert not check_proof(ax, GRID_ORACLE)
+    assert not check_proof(ax)
 
 
 def test_check_proof_rejects_dangling_rule():
     # Th conclusion whose premise subtree proves something else
     la = ProofTree(seq([P], [P]), Rule.LogicalAxiom)
     th = ProofTree(seq([Q], [P, Q]), Rule.Th, (la,))
-    assert not check_proof(th, GRID_ORACLE)
-
-
-def test_check_proof_takes_a_plain_function_oracle():
-    ax = ProofTree(seq([], [G_TRUE]), Rule.NonLogicalAxiom)
-    assert check_proof(ax, GRID_ORACLE)
-    res = check_proof(ax, lambda left, right: False)
-    assert not res
-    assert "non-logical axiom" in res.reason
+    assert not check_proof(th)
 
 
 def test_check_proof_cache_is_reusable():
@@ -470,9 +491,9 @@ def test_check_proof_cache_is_reusable():
     wrap1 = ProofTree(seq([P], [Not(Not(G_TRUE))]), Rule.Th, (shared,))
     wrap2 = ProofTree(seq([Q], [Not(Not(G_TRUE))]), Rule.Th, (shared,))
     cache = {}
-    assert check_proof(wrap1, GRID_ORACLE, cache)
+    assert check_proof(wrap1, cache)
     assert shared in cache
-    assert check_proof(wrap2, GRID_ORACLE, cache)
+    assert check_proof(wrap2, cache)
 
 
 def test_stale_cache_entry_never_vouches_for_a_new_node():
@@ -481,11 +502,11 @@ def test_stale_cache_entry_never_vouches_for_a_new_node():
     cache = {}
     for _ in range(50):
         good = ProofTree(seq([], [G_TRUE]), Rule.NonLogicalAxiom)
-        assert check_proof(good, GRID_ORACLE, cache)
+        assert check_proof(good, cache)
         bad_sequent = seq([], [G_FALSE])
         del good
         bad = ProofTree(bad_sequent, Rule.NonLogicalAxiom)
-        assert not check_proof(bad, GRID_ORACLE, cache)
+        assert not check_proof(bad, cache)
 
 
 # ---------------------------------------------------------------------------

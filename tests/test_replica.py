@@ -29,7 +29,6 @@ from epicore import (
 )
 from epicore.logic import Ach, CheckResult, check_proof
 from epicore.replica import (
-    UTILITY_ORACLE,
     Allocation,
     EdgeworthEconomy,
     ReplicaEconomy,
@@ -85,11 +84,6 @@ def test_utility_compare_rejects_bad_input():
         utility_compare((F(1),), (F(0), F(1)))
 
 
-def test_utility_oracle_wraps_comparison():
-    assert UTILITY_ORACLE((F(1, 2), F(1, 2)), (F(1), F(0)))
-    assert not UTILITY_ORACLE((F(1), F(0)), (F(1, 2), F(1, 2)))
-
-
 GRID_BUNDLES = st.tuples(st.integers(0, 16), st.integers(0, 16))
 
 
@@ -139,9 +133,6 @@ def test_participant_indexing_is_type_major():
     e = econ(8, 2)
     assert e.participants() == ((1, 1), (1, 2), (2, 1), (2, 2))
     assert [e.participant_index(p) for p in e.participants()] == [1, 2, 3, 4]
-    assert [e.type_of(i) for i in (1, 2, 3, 4)] == [1, 1, 2, 2]
-    assert e.endowment((1, 2)) == (F(1), F(0))
-    assert e.endowment((2, 1)) == (F(0), F(1))
 
 
 def test_allocation_validation():
