@@ -508,10 +508,7 @@ def _atom(tag: int, row: dict, vectors: list, names: dict) -> tuple[Formula, tup
         return Ach(vec, c), (_ACH, ck, vec)
     left = _ref(vectors, row["left"], "vector")
     right = _ref(vectors, row["right"], "vector")
-    # the kernel reads both payloads at every member of `over`
     over, ok = _coalition(row["over"], names)
-    if over.members[-1] > len(left):
-        raise InvalidInputError(f"coalition {over} exceeds the payload length")
     lt, ltk = _coalition(row["left_tag"], names)
     rt, rtk = _coalition(row["right_tag"], names)
     return Geq(left, lt, over, right, rt), (_GEQ, ltk, left, ok, rtk, right)

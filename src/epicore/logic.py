@@ -30,6 +30,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import is_
@@ -88,12 +89,12 @@ class Geq(Formula):
     __slots__ = ("left", "left_tag", "over", "right", "right_tag")
 
     def __init__(self, left, left_tag: Coalition, over: Coalition, right, right_tag: Coalition):
-        if len(over) < 1:
-            raise InvalidInputError("comparison coalition must be nonempty")
-        self.left = tuple(left)
+        self.left = left = tuple(left)
+        self.right = right = tuple(right)
+        if not len(left) >= over.members[-1] <= len(right):
+            raise InvalidInputError(f"coalition {over} exceeds the payload length")
         self.left_tag = left_tag
         self.over = over
-        self.right = tuple(right)
         self.right_tag = right_tag
         self._hash = None
 
@@ -574,7 +575,7 @@ def _cmp_units(a: tuple, b: tuple) -> int:
 def _geq_holds(f: Geq) -> Optional[bool]:
     """Whether left >= right at every member of `over`: integer grid units
     in plain order, bundles by utility.  None when some compared pair of
-    entries differs in kind."""
+    entries differs in kind or a bundle holds a negative or non-rational."""
     left, right = f.left, f.right
     holds = True
     for p in f.over.members:
@@ -586,6 +587,8 @@ def _geq_holds(f: Geq) -> Optional[bool]:
             if a < b:
                 holds = False
         elif t is tuple and len(a) == 2 == len(b):
+            if not all(type(c) in (int, Fraction) and c >= 0 for c in a + b):
+                return None
             if _cmp_units(a, b) < 0:
                 holds = False
         else:

@@ -25,6 +25,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from math import comb
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError, UnsupportedSizeError, VerificationFailure
@@ -468,7 +470,6 @@ class _Coalitions:
 
     def __init__(self, economy: ReplicaEconomy, family: Sequence[tuple[int, ...]]):
         base = economy.base
-        self.economy = economy
         self.den = base.grid_denominator
         self.k = economy.k
         self.tables = _tables(self.k * self.den)
@@ -483,15 +484,13 @@ class _Coalitions:
         ones = sum(1 for j in idxs if j <= k)
         return (ones * den, (len(idxs) - ones) * den)
 
-    def blocked(self, ranks: tuple[int, ...],
-                skip_singles: bool = False) -> Optional[tuple[int, ...]]:
+    def blocked(self, ranks: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """The first coalition of the family that rejects the allocation
         with these member ranks, or None."""
-        if not skip_singles:
-            e = self.endow_rank
-            for j in self.singles:
-                if e > ranks[j - 1]:
-                    return (j,)
+        e = self.endow_rank
+        for j in self.singles:
+            if e > ranks[j - 1]:
+                return (j,)
         for idxs in self.larger:
             if self._blocked_by(idxs, ranks) is not None:
                 return idxs
@@ -550,15 +549,20 @@ def _family_indices(economy: ReplicaEconomy, sets: Iterable) -> tuple[tuple[int,
     return tuple(out)
 
 
+# bounds one type's k-tuples of bundles, comb(kD + k, k)**2 at most, and the
+# allocations _core tests when the mixed-pair prune is off
+MAX_GRID_CANDIDATES = 1_000_000
+
+
 def _plan(economy: ReplicaEconomy, coalitions: Optional[Iterable] = None) -> _Coalitions:
     """Query plan over `coalitions` (default: the effective family); the
-    one size guard of grid_core and partial_knowledge_witness."""
+    size guard of grid_core and partial_knowledge_witness, for every k."""
     k = economy.k
     den = economy.base.grid_denominator
-    if k > 2 or k * den > 16:
+    if k * den > 16 or comb(k * den + k, k) ** 2 > MAX_GRID_CANDIDATES:
         raise UnsupportedSizeError(
-            f"replica grid queries are guarded to k <= 2 and k*D <= 16; "
-            f"got k={k}, D={den}")
+            f"replica grid queries are guarded to k*D <= 16 and at most "
+            f"{MAX_GRID_CANDIDATES:,} k-tuples of bundles a type; got k={k}, D={den}")
     if coalitions is None:
         coalitions = effective_coalitions(k)
     return _Coalitions(economy, _family_indices(economy, coalitions))
@@ -579,72 +583,68 @@ def grid_core(economy: ReplicaEconomy, *, coalitions: Optional[Iterable] = None)
 
     By default only the effective coalition family is consulted; pass
     `coalitions` (an iterable of participant sets) to use a custom family,
-    such as every nonempty coalition.  The result over-approximates the
-    true core restricted to the grid: dominators that live between grid
-    points are not seen.
+    such as every nonempty coalition; one enumeration serves every k.  The
+    result over-approximates the true core restricted to the grid:
+    dominators that live between grid points are not seen.
     """
-    plan = _plan(economy, coalitions)
-    survivors = _core_k1(plan) if economy.k == 1 else _core_k2(plan)
-    return frozenset(survivors)
+    return frozenset(_core(_plan(economy, coalitions)))
 
 
-def _core_k1(plan: _Coalitions):
-    den = plan.den
+def _core(plan: _Coalitions):
+    """Each type's ordered k-tuples of bundles (individually rational ones
+    when every singleton is in the family) as cons cells (least rank, last
+    bundle, cell before), grouped by sum.  The k*k mixed pairs all split
+    (D, D) on one staircase, so a type-1 tuple and a type-2 tuple at the
+    complementary sum pass them exactly when the least type-2 rank is at
+    least need[least type-1 rank]; only such pairs are tested in full."""
+    k, den = plan.k, plan.den
     rank = plan.tables.rank
-    prefilter = set(plan.singles) == {1, 2}
-    e = plan.endow_rank
-    out = []
-    for m1 in range(den + 1):
-        for m2 in range(den + 1):
-            other = (den - m1, den - m2)
-            ranks = (rank[(m1, m2)], rank[other])
-            if prefilter and (e > ranks[0] or e > ranks[1]):
-                continue
-            if plan.blocked(ranks, skip_singles=prefilter) is not None:
-                continue
-            out.append(_allocation(((m1, m2), other), den))
-    return out
-
-
-def _core_k2(plan: _Coalitions):
-    den = plan.den
-    rank = plan.tables.rank
-    total = 2 * den
-    prefilter = set(plan.singles) == {1, 2, 3, 4}
-    e = plan.endow_rank
-    # The four mixed pairs {(1,t),(2,u)} all split (D, D) on one staircase,
-    # so together they leave ranks (r1, r2, r3, r4) unblocked exactly when
-    # min(r3, r4) >= need[min(r1, r2)] (need is non-increasing).
-    if {(1, 3), (1, 4), (2, 3), (2, 4)} <= set(plan.larger):
+    total = k * den
+    low = plan.endow_rank if set(plan.singles) == set(range(1, 2 * k + 1)) else 0
+    pool = [(b, r) for b, r in rank.items() if r >= low]
+    groups = {b: [(r, b, None)] for b, r in pool}
+    for _ in range(k - 1):
+        wider: dict[tuple[int, int], list] = {}
+        for (s1, s2), cells in groups.items():
+            for b, r in pool:
+                if s1 + b[0] <= total and s2 + b[1] <= total:
+                    add = wider.setdefault((s1 + b[0], s2 + b[1]), []).append
+                    for c in cells:
+                        add((r if r < c[0] else c[0], b, c))
+        groups = wider
+    for cells in groups.values():
+        cells.sort(key=itemgetter(0), reverse=True)
+    if {(t, u) for t in range(1, k + 1) for u in range(k + 1, 2 * k + 1)} <= set(plan.larger):
         need = plan.tables.pair_need((den, den))
     else:
         need = [0] * len(rank)
-    pool = [((m1, m2), rank[(m1, m2)])
-            for m1 in range(total + 1) for m2 in range(total + 1)
-            if not prefilter or rank[(m1, m2)] >= e]
-    by_sum: dict[tuple[int, int], list] = {}
-    for (b1, r1) in pool:
-        for (b2, r2) in pool:
-            s = (b1[0] + b2[0], b1[1] + b2[1])
-            if s[0] <= total and s[1] <= total:
-                by_sum.setdefault(s, []).append((min(r1, r2), r1, r2, b1, b2))
-    for plist in by_sum.values():
-        plist.sort(reverse=True)
-    blocked = plan.blocked
+        count = sum(len(cells) * len(groups.get((total - s1, total - s2), ()))
+                    for (s1, s2), cells in groups.items())
+        if count > MAX_GRID_CANDIDATES:
+            raise UnsupportedSizeError(
+                f"without all {k * k} mixed pairs the grid core at k={k}, D={den} "
+                f"tests {count:,} allocations; at most {MAX_GRID_CANDIDATES:,} are tested")
     out = []
-    for s, plist in by_sum.items():
-        qlist = by_sum.get((total - s[0], total - s[1]))
-        if not qlist:
+    for (s1, s2), cells in groups.items():
+        others = groups.get((total - s1, total - s2))
+        if not others:
             continue
-        for low, r1, r2, b1, b2 in plist:
-            floor = need[low]
-            for low2, r3, r4, b3, b4 in qlist:
-                if low2 < floor:
+        for cell in cells:
+            floor = need[cell[0]]
+            if others[0][0] < floor:
+                continue
+            first = _unroll(cell)
+            for other in others:
+                if other[0] < floor:
                     break
-                if blocked((r1, r2, r3, r4), skip_singles=prefilter) is not None:
-                    continue
-                out.append(_allocation((b1, b2, b3, b4), den))
+                units = first + _unroll(other)
+                if plan.blocked(tuple([rank[u] for u in units])) is None:
+                    out.append(_allocation(units, den))
     return out
+
+
+def _unroll(cell) -> tuple:
+    return () if cell is None else _unroll(cell[2]) + (cell[1],)
 
 
 # Repeated queries share their grid objects: one bundle per unit pair (at

@@ -46,12 +46,16 @@ def min_path(tmp_path):
     return str(p)
 
 
+def _econ_file(tmp_path, den):
+    p = tmp_path / f"econ{den}.json"
+    dump_json({"utility": "ces", "rho": "1/2",
+               "grid_denominator": den, "replicas": 2}, str(p))
+    return str(p)
+
+
 @pytest.fixture
 def econ_path(tmp_path):
-    p = tmp_path / "econ.json"
-    dump_json({"utility": "ces", "rho": "1/2",
-               "grid_denominator": 8, "replicas": 2}, str(p))
-    return str(p)
+    return _econ_file(tmp_path, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +342,35 @@ def test_check_compares_bundles_by_utility(left, right, code, tmp_path, capsys):
     assert ("non-logical axiom" in err) == (code == 2)
 
 
-def test_check_accepts_a_written_replica_witness_derivation(monkeypatch, tmp_path, capsys):
+def _check_written_witness(monkeypatch, tmp_path, capsys, den, k):
+    """The witness of the allocation giving every type-1 copy (1/4, 1/4)
+    and every type-2 copy (3/4, 3/4); its derivation, written with
+    proof_to_obj, must pass `check`."""
     derivations = []
     check = replica.check_proof
     monkeypatch.setattr(replica, "check_proof",
                         lambda root: derivations.append(root) or check(root))
-    # blocked at k = 2 by a near-balanced triple, over bundles on the 1/8 grid
     low, high = (F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))
-    x = replica.Allocation((low, low, high, high))
-    assert replica.partial_knowledge_witness(ReplicaEconomy(EdgeworthEconomy(8), 2), x)
+    x = replica.Allocation((low,) * k + (high,) * k)
+    witness = replica.partial_knowledge_witness(ReplicaEconomy(EdgeworthEconomy(den), k), x)
     (root,) = derivations
     path = str(tmp_path / "witness.json")
     dump_json(proof_to_obj(root), path)
     assert main(["check", path]) == 0
     assert capsys.readouterr().out.startswith("ok: ")
+    return witness
+
+
+def test_check_accepts_a_written_replica_witness_derivation(monkeypatch, tmp_path, capsys):
+    # blocked at k = 2 by a near-balanced triple, over bundles on the 1/8 grid
+    assert _check_written_witness(monkeypatch, tmp_path, capsys, 8, 2)
+
+
+def test_check_accepts_a_written_k3_witness_derivation(monkeypatch, tmp_path, capsys):
+    # blocked at k = 3 by the triple {(1,1),(1,2),(2,1)}, copy 2 gaining strictly
+    sigma, atoms = _check_written_witness(monkeypatch, tmp_path, capsys, 4, 3)
+    assert sigma == (1, 2)
+    assert next(iter(atoms)).coalition.members == (1, 2, 4)
 
 
 def _leaf():
@@ -677,6 +696,17 @@ def test_replica_k_override_skips_guarded_core(econ_path, capsys):
     assert "grid core: skipped (" in out
 
 
+def test_replica_computes_the_k3_core_up_to_d5(tmp_path, capsys):
+    table = str(tmp_path / "core.csv")
+    assert main(["replica", _econ_file(tmp_path, 5), "-k", "3", "--csv", table]) == 0
+    assert "grid core: 22 allocation(s)" in capsys.readouterr().out
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 23 and {len(r) for r in rows} == {12}
+    assert main(["replica", _econ_file(tmp_path, 4), "-k", "4"]) == 0
+    assert "grid core: skipped (" in capsys.readouterr().out
+
+
 def test_replica_k1_has_no_growth_line(econ_path, capsys):
     assert main(["replica", econ_path, "-k", "1"]) == 0
     out = capsys.readouterr().out
@@ -699,10 +729,13 @@ def test_replica_json_payload(econ_path, tmp_path, capsys):
 
 def test_replica_json_payload_is_pinned(econ_path, tmp_path, capsys):
     # the grid core enumeration must not change a byte of the -o file
-    for k, digest in ((1, "6b3e3964f35d2c3fd59a7c5e8fb148b19bc75772c9b4948c0e4569d6751d1373"),
-                      (2, "d1ed99117c11d3ec966ac365630bd53c7ba84f0680e37d603db3ca0cd7f009ba")):
+    econ5_path = _econ_file(tmp_path, 5)
+    for path, k, digest in (
+            (econ_path, 1, "6b3e3964f35d2c3fd59a7c5e8fb148b19bc75772c9b4948c0e4569d6751d1373"),
+            (econ_path, 2, "d1ed99117c11d3ec966ac365630bd53c7ba84f0680e37d603db3ca0cd7f009ba"),
+            (econ5_path, 3, "8083d1537584f8f2a80d5f4ab46c119fe4820f28611c1ead36bf58df446d100f")):
         out_file = tmp_path / f"rep{k}.json"
-        assert main(["replica", econ_path, "-k", str(k), "-o", str(out_file)]) == 0
+        assert main(["replica", path, "-k", str(k), "-o", str(out_file)]) == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, k
     capsys.readouterr()
 

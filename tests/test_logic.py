@@ -164,6 +164,23 @@ def test_mixed_kind_comparison_is_no_axiom_and_never_raises(left, right, over):
         assert "non-logical axiom" in res.reason
 
 
+@pytest.mark.parametrize("left, right", [((1,), (0,)), ((1, 1), (0,)), ((1,), (0, 0))],
+                         ids=["both-short", "right-short", "left-short"])
+def test_geq_refuses_an_over_past_either_payload(left, right):
+    # the kernel reads both payloads at every member of `over`
+    with pytest.raises(InvalidInputError, match="exceeds the payload length"):
+        Geq(left, C1, C12, right, C1)
+
+
+@pytest.mark.parametrize("bundle", [("a", "b"), (F(-1), F(4)), (0.5, F(0))],
+                         ids=["strings", "negative", "float"])
+def test_bundle_of_non_rationals_is_no_axiom_and_never_raises(bundle):
+    for left, right in (((bundle,), (bundle,)), ((bundle,), ((F(0), F(0)),))):
+        g = Geq(left, C1, C1, right, C1)
+        for f in (g, Not(g)):
+            assert not check_proof(ProofTree(seq([], [f]), Rule.NonLogicalAxiom))
+
+
 # ---------------------------------------------------------------------------
 # structural rules, one by one
 

@@ -9,6 +9,7 @@ blocking witnesses) were verified against that oracle and by hand.
 """
 
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -290,14 +291,40 @@ def test_withholding_triples_restores_blocked_allocations():
 
 
 def test_grid_core_size_guards():
-    with pytest.raises(UnsupportedSizeError):
-        grid_core(econ(4, 3))
-    with pytest.raises(UnsupportedSizeError):
-        grid_core(econ(16, 2))
+    # k*D = 18, then a type's 4-tuples bounded by comb(16, 4)**2 = 3,312,400
+    for den, k in ((6, 3), (3, 4), (16, 2)):
+        with pytest.raises(UnsupportedSizeError):
+            grid_core(econ(den, k))
+    assert len(grid_core(econ(4, 3))) == 1
+
+
+def test_unpruned_k3_d5_is_refused_before_the_pair_loop():
+    # without the mixed pairs all 3,650,002 individually rational
+    # allocations would be tested
+    fam = [s for s in effective_coalitions(3) if len(s) != 2]
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedSizeError, match="3,650,002"):
+        grid_core(econ(5, 3), coalitions=fam)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_every_size_the_guard_sees_returns_or_is_refused_quickly():
+    # one past k*D <= 16 for every k <= 16: 66 (k, D) pairs, 33 admitted
+    admitted = 0
+    for k in range(1, 17):
+        for den in range(1, 16 // k + 2):
+            start = time.perf_counter()
+            try:
+                grid_core(econ(den, k))
+                admitted += 1
+            except UnsupportedSizeError:
+                pass
+            assert time.perf_counter() - start < 2.0, (k, den)
+    assert admitted == 33
 
 
 # ---------------------------------------------------------------------------
-# the k = 2 enumeration skips allocations a mixed pair blocks
+# the one enumeration, for every k, skips allocations a mixed pair blocks
 
 
 NO_TRIPLES = [s for s in effective_coalitions(2) if len(s) != 3]
@@ -351,11 +378,61 @@ def test_k2_d8_tests_only_the_prune_survivors(monkeypatch):
     calls = []
     blocked = _Coalitions.blocked
     monkeypatch.setattr(_Coalitions, "blocked",
-                        lambda self, *a, **kw: calls.append(1) or blocked(self, *a, **kw))
+                        lambda self, *a: calls.append(1) or blocked(self, *a))
     for fam in (None, NO_TRIPLES):
         calls.clear()
         grid_core(econ(8, 2), coalitions=fam)
         assert len(calls) <= 29
+
+
+# the k = 3 effective family written out: singletons, the nine mixed pairs,
+# the near-balanced triples and quintuples, and the whole set
+K3_FAMILY = [(1,), (2,), (3,), (4,), (5,), (6,),
+             (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6),
+             (1, 2, 4), (1, 4, 5), (1, 2, 3, 4, 5), (1, 2, 4, 5, 6),
+             (1, 2, 3, 4, 5, 6)]
+K3_CORE_SIZES = {1: 20, 2: 1, 3: 20, 4: 1, 5: 22}
+
+
+def test_k3_cores_agree_with_brute_enumeration():
+    from epicore.replica import _plan
+    assert set(_plan(econ(2, 3)).family) == set(K3_FAMILY)
+    for den in (1, 2):
+        pkg = units_of(grid_core(econ(den, 3)), den)
+        assert pkg == set(brute_grid_core(3, den, coalitions=K3_FAMILY)), den
+
+
+def test_k3_core_sizes_are_pinned():
+    assert {den: len(grid_core(econ(den, 3))) for den in K3_CORE_SIZES} == K3_CORE_SIZES
+
+
+def test_k3_d5_tests_only_the_prune_survivors(monkeypatch):
+    from epicore.replica import _Coalitions
+    calls = []
+    blocked = _Coalitions.blocked
+    monkeypatch.setattr(_Coalitions, "blocked",
+                        lambda self, *a: calls.append(1) or blocked(self, *a))
+    grid_core(econ(5, 3))
+    assert len(calls) <= 62
+
+
+def test_projection_onto_first_copies_is_pinned():
+    # measured, not a theorem: the projection need not shrink strictly
+    def projection(den, k):
+        return {(a.bundles[0], a.bundles[k]) for a in grid_core(econ(den, k))}
+
+    assert [len(projection(5, k)) for k in (1, 2, 3)] == [8, 6, 6]
+    for den in (3, 4, 5):
+        assert projection(den, 3) == projection(den, 2), den
+    for den in (3, 5):
+        assert not projection(den, 2) <= projection(den, 1), den
+
+
+def test_k3_core_members_have_no_witness():
+    for den in (1, 2, 3):
+        e = econ(den, 3)
+        for x in grid_core(e):
+            assert partial_knowledge_witness(e, x) is None, (den, x)
 
 
 def test_repeated_cores_share_their_allocations():
@@ -589,9 +666,10 @@ def test_witness_validates_input():
     with pytest.raises(InvalidInputError):
         partial_knowledge_witness(econ(8, 1), alloc((F(1, 3), F(2, 3)),
                                                     (F(2, 3), F(1, 3))))
-    with pytest.raises(UnsupportedSizeError):
-        partial_knowledge_witness(econ(4, 3), Allocation(
-            tuple(((F(1, 2), F(1, 2)),) * 6)))
+    for den, k in ((6, 3), (3, 4)):
+        with pytest.raises(UnsupportedSizeError):
+            partial_knowledge_witness(econ(den, k), Allocation(
+                tuple(((F(1, 2), F(1, 2)),) * (2 * k))))
 
 
 @settings(max_examples=30, deadline=None)
