@@ -21,6 +21,7 @@ import argparse
 import csv
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 from typing import Optional
 
 from .acceptability import KnowledgeProfile, decide, emit_proof, parse_family
@@ -252,7 +253,9 @@ _ACYCLIC = frozenset((_cmd_prove, _cmd_check))
 # argument plumbing
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="epicore",
         description="Exact cores, acceptability proofs, and replica economies.")

@@ -206,11 +206,11 @@ def payload_from_obj(obj: Any, grid: Optional[dict] = None) -> tuple:
 # shared base object, so the kernel runs its delta paths on loaded proofs.
 
 # What a proof file may ask the reader to do.  Emitted proofs and their
-# formulas are at most 7 deep.  Beyond reading its own rows, loading and
-# checking a file may cost WORK_PER_ENTRY formula reads per entry (formula
-# row, set member or node row), so that naming a shared row many times
-# cannot make a short file slow to check; emitted files use at most about
-# 2 per entry on every grid.
+# formulas are at most 7 deep.  Ordering a junction's members may read
+# every node of their expansion, so loading may cost WORK_PER_ENTRY such
+# reads per entry of the file (formula row, set member or node row), and
+# nesting shared rows cannot make a short file slow to load.  What
+# checking may read is the kernel's own limit, logic.MAX_READS.
 MAX_FORMULA_DEPTH = 64
 MAX_PROOF_DEPTH = 64
 WORK_PER_ENTRY = 16
@@ -364,7 +364,7 @@ def proof_from_obj(obj: Any) -> ProofTree:
     # a set row that is not an array is refused below
     budget = WORK_PER_ENTRY * (len(formula_rows) + len(rows)
                                + sum(len(s) for s in set_rows if isinstance(s, list)))
-    formulas, work = _formula_table(formula_rows, vectors, budget)
+    formulas = _formula_table(formula_rows, vectors, budget)
     sets = [frozenset(map(formulas.__getitem__, _ids(row, formulas, "formula")))
             for row in set_rows]
     if not rows:
@@ -397,13 +397,7 @@ def proof_from_obj(obj: Any) -> ProofTree:
         seq = ThoughtSequent(prefix, _side(row["ante"], formulas, sets, sides),
                              _side(row["succ"], formulas, sets, sides))
         meta = _meta(row["meta"], formulas) if "meta" in row else None
-        premises = tuple(map(trees.__getitem__, kids))
-        if premises:
-            work += _node_work(rule, seq, premises, meta)
-            if work > budget:
-                raise InvalidInputError("checking the proof would read more than "
-                                        f"{WORK_PER_ENTRY} formulas per entry of the file")
-        trees.append(ProofTree(seq, rule, premises, meta))
+        trees.append(ProofTree(seq, rule, tuple(map(trees.__getitem__, kids)), meta))
         depth.append(d)
         used.append(False)
     if not all(used[:-1]):
@@ -412,8 +406,8 @@ def proof_from_obj(obj: Any) -> ProofTree:
     return trees[-1]
 
 
-def _formula_table(rows: list, vectors: list, budget: int) -> tuple[list, int]:
-    """The formulas of the table rows, and the reads spent building them.
+def _formula_table(rows: list, vectors: list, budget: int) -> list:
+    """The formulas of the table rows.
 
     Equal rows become one object, so no equality test walks two copies of
     a subformula: a row is looked up by its tag and the first rows of its
@@ -493,7 +487,7 @@ def _formula_table(rows: list, vectors: list, budget: int) -> tuple[list, int]:
         first.append(j)
         depth.append(d)
         size.append(n)
-    return built, work
+    return built
 
 
 def _too_deep(row: int) -> InvalidInputError:
@@ -536,56 +530,6 @@ def _coalition(text: Any, names: dict) -> tuple[Coalition, tuple]:
         c = Coalition.parse(text)  # refuses a key that is not a string
         found = names[text] = (c, c.canonical_key)
     return found
-
-
-# rules that look for their principal on a side when no hint names it
-_HINTED = frozenset((Rule.NotLeft, Rule.NotRight, Rule.ImpLeft, Rule.ImpRight,
-                     Rule.AndLeft, Rule.AndRight, Rule.OrLeft, Rule.OrRight))
-# rules whose check reads whole sides
-_WHOLE = frozenset((Rule.Cut, Rule.EpistemicDist))
-# rules that pick one member of their principal
-_PICKS = frozenset((Rule.AndLeft, Rule.OrRight))
-# rules that take their principal out of a side
-_TAKES = frozenset((Rule.AndRight, Rule.OrLeft))
-# (member access on the enum class is slow; sets and globals are not)
-_CUT, _IMP_RIGHT = Rule.Cut, Rule.ImpRight
-
-
-def _node_work(rule: Rule, seq: ThoughtSequent, premises: tuple, meta) -> int:
-    """A bound on the formulas the kernel reads at a node with premises
-    beyond the rows the file spells out for it (axioms compare sides of at
-    most one formula).
-
-    The kernel stays on the deltas while the based sides at each position
-    share one base and the rule is hinted and takes no formula out of a
-    base (logic._candidates_minus).  Otherwise it may read every base once
-    per sequent, and once per candidate principal when unhinted.  AndLeft
-    and OrRight also scan their principal's members, a row that many nodes
-    may share.
-    """
-    p = meta.principal if meta is not None else None
-    work = len(p.members) if rule in _PICKS and isinstance(p, (And, Or)) else 0
-    ante = {id(seq.ante.base): seq.ante.base}
-    succ = {id(seq.succ.base): seq.succ.base}
-    for q in premises:
-        q = q.sequent
-        ante[id(q.ante.base)] = q.ante.base
-        succ[id(q.succ.base)] = q.succ.base
-    ante.pop(id(None), None)
-    succ.pop(id(None), None)
-    if not ante and not succ:
-        return work
-    mixed = len(ante) > 1 or len(succ) > 1
-    ante.update(succ)
-    taken = (p if rule in _TAKES
-             else getattr(p, "rhs", None) if rule is _IMP_RIGHT else None)
-    unhinted = ((p is None and rule in _HINTED)
-                or (rule is _CUT and (meta is None or meta.cut is None)))
-    if mixed or unhinted or rule in _WHOLE or (
-            taken is not None and any(taken in b for b in ante.values())):
-        total = sum(map(len, ante.values()))
-        work += (1 + len(premises)) * total * (total if unhinted else 1)
-    return work
 
 
 def _side(obj: Any, formulas: list, sets: list, interned: dict) -> FormulaSet:

@@ -21,7 +21,11 @@ Sequent sides use FormulaSet, a layered immutable set: a big shared base
 (typically a knowledge set reused across thousands of sequents) plus a
 small delta.  All rule checks run on the deltas when bases are shared, so
 checking a proof with a large ambient knowledge set costs O(tree), not
-O(tree * |knowledge set|).
+O(tree * |knowledge set|).  The kernel meters the reads it makes beyond
+the rows each node names (a base iterated, compared or split, a
+junction's members scanned, premises paired in any order, every side
+read again for each candidate a node without a hint leaves open), and
+`check_proof` raises InvalidInputError past MAX_READS of them.
 """
 
 from __future__ import annotations
@@ -284,6 +288,22 @@ def strict_gain(left, left_tag: Coalition, player: int, right, right_tag: Coalit
 # ---------------------------------------------------------------------------
 # layered formula sets (sequent sides)
 
+# Reads one check_proof call may make beyond the rows its nodes name.
+# Emitted proofs pay only for member scans; the most measured is 192,604,
+# at 3 players and bound 8 with every coalition known at worth 7.
+MAX_READS = 250_000
+_allowance: Optional[int] = None  # reads left in the running check, else None
+
+
+def _read(n: int) -> None:
+    """Charge n reads to the running check; outside one, nothing is metered."""
+    global _allowance
+    if _allowance is not None:
+        _allowance -= n
+        if _allowance < 0:
+            raise InvalidInputError(f"checking the proof would read more than {MAX_READS} "
+                                    "formulas beyond the rows its nodes name")
+
 
 class FormulaSet:
     """Immutable set of formulas: an optional shared base plus a small delta.
@@ -328,6 +348,7 @@ class FormulaSet:
 
     def __iter__(self) -> Iterator[Formula]:
         if self.base is not None:
+            _read(len(self.base))
             yield from self.base
         yield from self.extra
 
@@ -343,6 +364,7 @@ class FormulaSet:
             return self.extra == other.extra
         if len(self) != len(other):
             return False
+        _read(len(self))
         return self.materialize() == other.materialize()
 
     __hash__ = None  # content hash would force materialization; use ids or materialize()
@@ -357,6 +379,7 @@ class FormulaSet:
         if f in self.extra:
             return _fs_make(self.base, self.extra - {f})
         if self.base is not None and f in self.base:
+            _read(len(self))
             return _fs_make(None, self.materialize() - {f})
         return self
 
@@ -377,6 +400,7 @@ class FormulaSet:
             return all(f in other for f in self.extra)
         if len(self) > len(other):
             return False
+        _read(len(other))
         return self.materialize() <= other.materialize()
 
     def __repr__(self):
@@ -400,6 +424,7 @@ def _extends(target: FormulaSet, ctx: FormulaSet, f: Formula) -> bool:
             # f is the one new formula (deltas never meet their base)
             return ce <= te and f in te and f not in ce
         return te == ce and (f in ce or (ctx.base is not None and f in ctx.base))
+    _read(len(ctx))
     return target == ctx.with_(f)
 
 
@@ -666,12 +691,20 @@ def _extends_minus(target: FormulaSet, side: FormulaSet, principal: Formula,
     return m in ec or m in base
 
 
-def _principals(meta, side: FormulaSet, kind: type):
+def _tries(cands: list, concl, prems) -> list:
+    # without a hint the kernel tries every candidate, and each may read
+    # every side of the node again
+    _read(len(cands) * (len(concl.ante) + len(concl.succ)
+                        + sum(len(p.ante) + len(p.succ) for p in prems)))
+    return cands
+
+
+def _principals(meta, side: FormulaSet, kind: type, concl, prems):
     # the hinted principal if it has the rule's connective, else every
     # formula with that connective on the side
     if meta is not None and meta.principal is not None:
         return (meta.principal,) if type(meta.principal) is kind else ()
-    return [f for f in side if type(f) is kind]
+    return _tries([f for f in side if type(f) is kind], concl, prems)
 
 
 def _check_th(concl, prems, meta):
@@ -690,7 +723,7 @@ def _check_cut(concl, prems, meta):
     if meta is not None and meta.cut is not None:
         cuts = [meta.cut]
     else:
-        cuts = [f for f in p1.succ if f in p2.ante]
+        cuts = _tries([f for f in p1.succ if f in p2.ante], concl, prems)
     for a in cuts:
         if a not in p1.succ or a not in p2.ante:
             continue
@@ -713,7 +746,7 @@ def _check_not(concl, prems, meta, left):
     if meta is not None and meta.principal is not None:
         cands = (meta.principal,)
     else:
-        cands = [f.child for f in c_gain if type(f) is Not]
+        cands = _tries([f.child for f in c_gain if type(f) is Not], concl, prems)
     for a in cands:
         if _extends(c_gain, p_gain, Not(a)) and _extends(p_leave, c_leave, a):
             return None
@@ -726,7 +759,7 @@ def _check_imp_left(concl, prems, meta):
     p1, p2 = prems
     if p2.succ != concl.succ:
         return "succedent changed"
-    for imp in _principals(meta, concl.ante, Implies):
+    for imp in _principals(meta, concl.ante, Implies, concl, prems):
         if _extends(concl.ante, p1.ante, imp) \
                 and _extends(p1.succ, concl.succ, imp.lhs) \
                 and _extends(p2.ante, p1.ante, imp.rhs):
@@ -737,7 +770,7 @@ def _check_imp_left(concl, prems, meta):
 def _check_imp_right(concl, prems, meta):
     # from B[A, Gamma -> Theta, B'] infer B[Gamma -> Theta, A implies B']
     (p,) = prems
-    for imp in _principals(meta, concl.succ, Implies):
+    for imp in _principals(meta, concl.succ, Implies, concl, prems):
         if imp.rhs in p.succ and _extends(p.ante, concl.ante, imp.lhs) \
                 and any(_extends(concl.succ, theta, imp)
                         for theta in _candidates_minus(p.succ, imp.rhs)):
@@ -754,10 +787,13 @@ def _check_pick(concl, prems, meta, kind, left):
     p_side, p_other = (p.ante, p.succ) if left else (p.succ, p.ante)
     if p_other is not c_other and p_other != c_other:
         return "the other side changed"
-    for a in _principals(meta, c_side, kind):
+    for a in _principals(meta, c_side, kind, concl, prems):
         members = a.members
+        _read(len(members))
         if meta is not None and meta.member is not None:
             members = (meta.member,) if _has_member(members, meta.member) else ()
+        else:
+            members = _tries(members, concl, prems)
         for m in members:
             if _extends_minus(p_side, c_side, a, m):
                 return None
@@ -775,7 +811,7 @@ def _check_split(concl, prems, meta, kind, left):
         if p_other is not c_other and p_other != c_other:
             return "the other side changed"
     var_sides = [p.ante for p in prems] if left else [p.succ for p in prems]
-    for a in _principals(meta, c_side, kind):
+    for a in _principals(meta, c_side, kind, concl, prems):
         members = a.members
         if len(var_sides) != len(members) or a not in c_side:
             continue
@@ -784,6 +820,8 @@ def _check_split(concl, prems, meta, kind, left):
                 return None
             used = [False] * len(var_sides)
             for m in members:
+                # each premise tried may read the context's delta
+                _read(len(var_sides) * (1 + len(ctx.extra)))
                 for j, v in enumerate(var_sides):
                     if not used[j] and _extends(v, ctx, m):
                         used[j] = True
@@ -916,16 +954,26 @@ def check_proof(tree: ProofTree, cache: Optional[dict] = None) -> CheckResult:
     CheckResult and may be shared across calls when trees reuse immutable
     subproofs; it is purely an accelerator and keeps its subtrees alive.
     Returns a falsy result carrying the child-index path to the first
-    failing node and a reason.
+    failing node and a reason.  Raises InvalidInputError only when the
+    check would make more than MAX_READS reads beyond the rows its nodes
+    name (see _read).
     """
-    if cache is not None:
-        hit = cache.get(tree)
-        if hit is not None:
-            return hit
-    res = _check_node(tree, cache)
-    if cache is not None:
-        cache[tree] = res
-    return res
+    global _allowance
+    outermost = _allowance is None
+    if outermost:
+        _allowance = MAX_READS
+    try:
+        if cache is not None:
+            hit = cache.get(tree)
+            if hit is not None:
+                return hit
+        res = _check_node(tree, cache)
+        if cache is not None:
+            cache[tree] = res
+        return res
+    finally:
+        if outermost:
+            _allowance = None
 
 
 def _check_node(tree, cache) -> CheckResult:

@@ -418,6 +418,51 @@ def _shared_base_split(size):
             "sets": [list(range(size)) + [2 * size]], "nodes": nodes}
 
 
+def _atoms_and_or(size):
+    # `size` atoms and, in row `size`, their disjunction
+    formulas = [{"t": "ach", "coalition": "1", "vector": i} for i in range(size)]
+    formulas.append({"t": "or", "members": list(range(size))})
+    return {"vectors": [[str(i)] for i in range(size)], "formulas": formulas, "sets": []}
+
+
+def _split_in_reverse(size):
+    # an OrLeft root over flat sides whose premises list the members in
+    # reverse: pairing them in any order tries every premise per member
+    nodes = [{"prefix": [], "ante": {"delta": [size - 1 - j]}, "succ": {"delta": []},
+              "rule": "LogicalAxiom"} for j in range(size)]
+    nodes.append({"prefix": [], "ante": {"delta": [size]}, "succ": {"delta": []},
+                  "rule": "OrLeft", "meta": {"principal": size},
+                  "children": list(range(size))})
+    return dict(_atoms_and_or(size), nodes=nodes)
+
+
+def _unhinted_picks(size):
+    # a valid proof of Or -> Or: OrLeft over `size` unhinted OrRight nodes,
+    # the j-th of which the kernel finds only at the Or's j-th member
+    nodes = []
+    for j in range(size):
+        nodes.append({"prefix": [], "ante": {"delta": [j]}, "succ": {"delta": [j]},
+                      "rule": "LogicalAxiom"})
+        nodes.append({"prefix": [], "ante": {"delta": [j]}, "succ": {"delta": [size]},
+                      "rule": "OrRight", "children": [2 * j]})
+    nodes.append({"prefix": [], "ante": {"delta": [size]}, "succ": {"delta": [size]},
+                  "rule": "OrLeft", "children": list(range(1, 2 * size, 2))})
+    return dict(_atoms_and_or(size), nodes=nodes)
+
+
+def _unhinted_cut(size):
+    # a Cut that names no cut formula between sides of `size` atoms: every
+    # atom is a candidate, and trying one reads every side again
+    atoms = list(range(size))
+    nodes = [{"prefix": [], "ante": {"delta": []}, "succ": {"delta": atoms},
+              "rule": "LogicalAxiom"},
+             {"prefix": [], "ante": {"delta": atoms}, "succ": {"delta": []},
+              "rule": "LogicalAxiom"},
+             {"prefix": [], "ante": {"delta": [0]}, "succ": {"delta": [1]},
+              "rule": "Cut", "children": [0, 1]}]
+    return dict(_atoms_and_or(size), nodes=nodes)
+
+
 @pytest.mark.parametrize("obj, reason", [
     (_axiom_file([_GEQ, {"t": "not", "child": 1}]), "formula id 1 is not an earlier row"),
     (_axiom_file([{"t": "not", "child": -1}]), "formula id -1"),
@@ -445,14 +490,18 @@ def _shared_base_split(size):
     (_formula_chain(lambda last, nxt: [{"t": "not", "child": last},
                                        {"t": "and", "members": [last, nxt]}], 40),
      "expand to more than"),
-    (_shared_base_split(8000), "read more than 16 formulas per entry"),
+    (_shared_base_split(8000), "would read more than 250000 formulas"),
+    (_split_in_reverse(8000), "would read more than 250000 formulas"),
+    (_unhinted_picks(2000), "would read more than 250000 formulas"),
+    (_unhinted_cut(5000), "would read more than 250000 formulas"),
 ], ids=["formula-self-reference", "formula-id-negative", "vector-id-past-end",
         "vector-id-bool", "set-id-past-end", "set-row-formula-past-end",
         "delta-id-past-end", "child-not-earlier", "child-of-two-nodes",
         "child-twice-in-one-node", "two-roots", "no-nodes", "unknown-top-field",
         "unknown-formula-field", "unknown-node-field", "unknown-side-field",
         "unknown-meta-field", "old-nested-format", "formula-too-deep",
-        "proof-too-deep", "formulas-expand-too-far", "base-read-per-premise"])
+        "proof-too-deep", "formulas-expand-too-far", "base-read-per-premise",
+        "split-in-reverse-order", "unhinted-member-scan", "unhinted-cut"])
 def test_check_rejects_hostile_tables(obj, reason, tmp_path, capsys):
     code, _, err, elapsed = _run_check(obj, tmp_path, capsys)
     _expect_one_error_line(code, err, elapsed, reason)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epicore import logic
+from epicore.acceptability import emit_proof
 from epicore.errors import InvalidInputError
-from epicore.games import Coalition
+from epicore.games import Coalition, PayoffVector, TUGame
 from epicore.logic import (
     EMPTY_SET,
     Ach,
@@ -526,6 +528,21 @@ def test_stale_cache_entry_never_vouches_for_a_new_node():
         assert not check_proof(bad, cache)
 
 
+def test_check_proof_meters_its_reads_on_the_bound_six_proof(monkeypatch):
+    # the README's acceptable proof reads only the members of its AndLeft
+    # principals: 338 conjunctions of 3 and 35 strict gains of 2, 1,084 reads
+    game = TUGame.from_values(2, {"1": 3, "2": 3, "1,2": 3}, bound=6)
+    proof = emit_proof(game, 1, ["1", "2", "1,2"], PayoffVector.of(3, 0))
+    assert proof.size() == 1389
+    monkeypatch.setattr(logic, "MAX_READS", 1084)
+    assert check_proof(proof)
+    monkeypatch.setattr(logic, "MAX_READS", 1083)
+    with pytest.raises(InvalidInputError, match="would read more than 1083 formulas"):
+        check_proof(proof)
+    # the allowance ends with the check: set algebra outside one is free
+    assert logic._allowance is None
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
@@ -550,3 +567,36 @@ def test_th_accepts_exactly_supersets(a1, s1, a2, s2):
 def test_logical_axiom_iff_singleton_match(fs):
     s = seq(fs, fs)
     assert is_logical_axiom(s) == (len(fs) == 1)
+
+
+TREE_FORMULAS = [P, Q, R, G_TRUE, G_FALSE, Not(P), Not(G_TRUE), And([P, Q]), Or([Q, R]),
+                 Implies(P, Q), Bel(1, P), Bel(1, Q), Bel(2, R),
+                 Geq(((F(1), F(0)), 0), C1, C1, (0, 0), C1)]   # a bundle against a unit
+TREE_BASE = frozenset([P, And([P, Q]), Or([Q, R])])
+_DELTAS = st.sets(st.sampled_from(TREE_FORMULAS), max_size=3)
+_SIDES = st.one_of(_DELTAS.map(FormulaSet.of),
+                   _DELTAS.map(lambda d: FormulaSet.layered(TREE_BASE, d)))
+_HINTS = st.one_of(st.none(), st.sampled_from(TREE_FORMULAS))
+_METAS = st.one_of(st.none(), st.builds(RuleMeta, _HINTS, _HINTS, _HINTS,
+                                        st.one_of(st.none(), st.integers(1, 3))))
+_SEQUENTS = st.builds(ThoughtSequent, st.lists(st.integers(1, 3), max_size=2), _SIDES, _SIDES)
+_AXIOM_SHAPES = st.sampled_from(TREE_FORMULAS).flatmap(lambda f: st.sampled_from([
+    ProofTree(seq([], [f]), Rule.NonLogicalAxiom), ProofTree(seq([f], [f]), Rule.LogicalAxiom)]))
+_TREES = st.recursive(
+    st.one_of(_AXIOM_SHAPES, st.builds(ProofTree, _SEQUENTS, st.sampled_from(list(Rule)))),
+    lambda kids: st.builds(ProofTree, _SEQUENTS, st.sampled_from(list(Rule)),
+                           st.lists(kids, min_size=1, max_size=3).map(tuple), _METAS),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_check_proof_answers_every_small_tree(tree):
+    # any rule over any sides, hints and children: a result, never an
+    # exception, at the root and at every subtree (the root's own check
+    # stops at the first node that fails)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        assert isinstance(check_proof(node), CheckResult)
+        stack.extend(node.children)
