@@ -115,14 +115,13 @@ def _verify_group(n: int, top: int, coalitions, families, stats: SweepStats):
                                  f"worths={fam_worths} x={xu}")
 
 
-def verify_all_queries(n: int = 2, max_worth: int = 6,
-                       fail_fast: bool = True) -> SweepStats:
+def verify_all_queries(n: int = 2, max_worth: int = 6) -> SweepStats:
     """Run decide+emit+check over every query on every game with integer
     worths in [0, max_worth]: all players, all knowledge families, all grid
     proposals with sum at most the grand worth.
 
-    Raises VerificationFailure at the end if any proof fails (fail_fast
-    raises on the first group with failures).
+    Stops after the first group of games (one top worth) with failures and
+    raises VerificationFailure on them.
     """
     stats = SweepStats()
     t0 = time.perf_counter()
@@ -136,7 +135,7 @@ def verify_all_queries(n: int = 2, max_worth: int = 6,
             _verify_group(n, top, coalitions, families, stats)
             _purge_spaces()
             gc.collect()
-            if fail_fast and stats.failures:
+            if stats.failures:
                 break
     stats.seconds = time.perf_counter() - t0
     if stats.failures:

@@ -44,7 +44,7 @@ def rational_to_str(value) -> str:
 
 
 def rational_from_str(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:  # a JSON true or false is no number
         return Fraction(text)
     if not isinstance(text, str):
         raise InvalidInputError(f"expected a rational string, got {text!r}")
@@ -81,7 +81,7 @@ def game_from_obj(obj: Any) -> TUGame:
         worth = obj["v"]
     except KeyError as e:
         raise InvalidInputError(f"game file needs field {e.args[0]!r}") from None
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInputError("players must be a positive integer")
     if not isinstance(worth, dict):
         raise InvalidInputError('"v" must map coalition keys to integer worths')

@@ -21,10 +21,12 @@ Sequent sides use FormulaSet, a layered immutable set: a big shared base
 (typically a knowledge set reused across thousands of sequents) plus a
 small delta.  All rule checks run on the deltas when bases are shared, so
 checking a proof with a large ambient knowledge set costs O(tree), not
-O(tree * |knowledge set|).  The kernel meters the reads it makes beyond
-the rows each node names (a base iterated, compared or split, a
-junction's members scanned, premises paired in any order, every side
-read again for each candidate a node without a hint leaves open), and
+O(tree * |knowledge set|).  Each inference node names its rule instance
+with the RuleMeta hints its rule needs, and the kernel checks that
+instance only: it searches for no principal, member, cut formula or
+agent, and pairs split premises with the members in order.  The kernel
+meters the reads it makes beyond the rows each node names (a base
+iterated, compared or split, a junction's members scanned), and
 `check_proof` raises InvalidInputError past MAX_READS of them.
 """
 
@@ -485,7 +487,10 @@ class Rule(str, Enum):
 
 
 class RuleMeta:
-    """Optional hints naming a rule instance's moving parts.
+    """Hints naming a rule instance's moving parts.
+
+    Each inference rule needs the hints its `_RULES` entry lists and
+    ignores the others; a node without one is rejected.
 
     principal: the formula introduced/decomposed by the rule; for NotLeft
                and NotRight, the A of `not A`
@@ -691,22 +696,6 @@ def _extends_minus(target: FormulaSet, side: FormulaSet, principal: Formula,
     return m in ec or m in base
 
 
-def _tries(cands: list, concl, prems) -> list:
-    # without a hint the kernel tries every candidate, and each may read
-    # every side of the node again
-    _read(len(cands) * (len(concl.ante) + len(concl.succ)
-                        + sum(len(p.ante) + len(p.succ) for p in prems)))
-    return cands
-
-
-def _principals(meta, side: FormulaSet, kind: type, concl, prems):
-    # the hinted principal if it has the rule's connective, else every
-    # formula with that connective on the side
-    if meta is not None and meta.principal is not None:
-        return (meta.principal,) if type(meta.principal) is kind else ()
-    return _tries([f for f in side if type(f) is kind], concl, prems)
-
-
 def _check_th(concl, prems, meta):
     (p,) = prems
     if not p.ante.issubset(concl.ante):
@@ -720,19 +709,13 @@ def _check_cut(concl, prems, meta):
     # from B[Gamma -> Theta, A] and B[A, Delta -> Lambda]
     # infer B[Delta, Gamma -> Theta, Lambda]
     p1, p2 = prems
-    if meta is not None and meta.cut is not None:
-        cuts = [meta.cut]
-    else:
-        cuts = _tries([f for f in p1.succ if f in p2.ante], concl, prems)
-    for a in cuts:
-        if a not in p1.succ or a not in p2.ante:
-            continue
-        if not any(concl.ante == p1.ante.union(delta)
-                   for delta in _candidates_minus(p2.ante, a)):
-            continue
-        if any(concl.succ == theta.union(p2.succ)
-               for theta in _candidates_minus(p1.succ, a)):
-            return None
+    a = meta.cut
+    if a in p1.succ and a in p2.ante \
+            and any(concl.ante == p1.ante.union(delta)
+                    for delta in _candidates_minus(p2.ante, a)) \
+            and any(concl.succ == theta.union(p2.succ)
+                    for theta in _candidates_minus(p1.succ, a)):
+        return None
     return "no cut reading matches"
 
 
@@ -743,13 +726,9 @@ def _check_not(concl, prems, meta, left):
     (p,) = prems
     c_gain, c_leave = (concl.ante, concl.succ) if left else (concl.succ, concl.ante)
     p_gain, p_leave = (p.ante, p.succ) if left else (p.succ, p.ante)
-    if meta is not None and meta.principal is not None:
-        cands = (meta.principal,)
-    else:
-        cands = _tries([f.child for f in c_gain if type(f) is Not], concl, prems)
-    for a in cands:
-        if _extends(c_gain, p_gain, Not(a)) and _extends(p_leave, c_leave, a):
-            return None
+    a = meta.principal
+    if _extends(c_gain, p_gain, Not(a)) and _extends(p_leave, c_leave, a):
+        return None
     return "no negation reading matches"
 
 
@@ -759,98 +738,72 @@ def _check_imp_left(concl, prems, meta):
     p1, p2 = prems
     if p2.succ != concl.succ:
         return "succedent changed"
-    for imp in _principals(meta, concl.ante, Implies, concl, prems):
-        if _extends(concl.ante, p1.ante, imp) \
-                and _extends(p1.succ, concl.succ, imp.lhs) \
-                and _extends(p2.ante, p1.ante, imp.rhs):
-            return None
+    imp = meta.principal
+    if type(imp) is Implies and _extends(concl.ante, p1.ante, imp) \
+            and _extends(p1.succ, concl.succ, imp.lhs) \
+            and _extends(p2.ante, p1.ante, imp.rhs):
+        return None
     return "no implication-left reading matches"
 
 
 def _check_imp_right(concl, prems, meta):
     # from B[A, Gamma -> Theta, B'] infer B[Gamma -> Theta, A implies B']
     (p,) = prems
-    for imp in _principals(meta, concl.succ, Implies, concl, prems):
-        if imp.rhs in p.succ and _extends(p.ante, concl.ante, imp.lhs) \
-                and any(_extends(concl.succ, theta, imp)
-                        for theta in _candidates_minus(p.succ, imp.rhs)):
-            return None
+    imp = meta.principal
+    if type(imp) is Implies and imp.rhs in p.succ and _extends(p.ante, concl.ante, imp.lhs) \
+            and any(_extends(concl.succ, theta, imp)
+                    for theta in _candidates_minus(p.succ, imp.rhs)):
+        return None
     return "no implication-right reading matches"
 
 
 def _check_pick(concl, prems, meta, kind, left):
     # AndLeft: from B[A_k, Gamma -> Theta] infer B[/\A, Gamma -> Theta];
-    # OrRight mirrors it on the succedent (`left` false).  The hint may
-    # name the member A_k
+    # OrRight mirrors it on the succedent (`left` false).  The hints name
+    # the junction and its member A_k
     (p,) = prems
     c_side, c_other = (concl.ante, concl.succ) if left else (concl.succ, concl.ante)
     p_side, p_other = (p.ante, p.succ) if left else (p.succ, p.ante)
     if p_other is not c_other and p_other != c_other:
         return "the other side changed"
-    for a in _principals(meta, c_side, kind, concl, prems):
-        members = a.members
-        _read(len(members))
-        if meta is not None and meta.member is not None:
-            members = (meta.member,) if _has_member(members, meta.member) else ()
-        else:
-            members = _tries(members, concl, prems)
-        for m in members:
-            if _extends_minus(p_side, c_side, a, m):
-                return None
+    a, m = meta.principal, meta.member
+    if type(a) is kind:
+        _read(len(a.members))
+        if _has_member(a.members, m) and _extends_minus(p_side, c_side, a, m):
+            return None
     return "no member reading matches"
 
 
 def _check_split(concl, prems, meta, kind, left):
     # AndRight: from B[Gamma -> Theta, A_k] for every member A_k infer
     # B[Gamma -> Theta, /\A]; OrLeft mirrors it on the antecedent (`left`
-    # true).  The premises pair with the members in order or, failing
-    # that, in any order
+    # true).  The premises follow the members in order
     c_side, c_other = (concl.ante, concl.succ) if left else (concl.succ, concl.ante)
     for p in prems:
         p_other = p.succ if left else p.ante
         if p_other is not c_other and p_other != c_other:
             return "the other side changed"
     var_sides = [p.ante for p in prems] if left else [p.succ for p in prems]
-    for a in _principals(meta, c_side, kind, concl, prems):
-        members = a.members
-        if len(var_sides) != len(members) or a not in c_side:
-            continue
+    a = meta.principal
+    if type(a) is kind and len(var_sides) == len(a.members) and a in c_side:
         for ctx in _candidates_minus(c_side, a):
-            if all(map(_extends, var_sides, repeat(ctx), members)):
-                return None
-            used = [False] * len(var_sides)
-            for m in members:
-                # each premise tried may read the context's delta
-                _read(len(var_sides) * (1 + len(ctx.extra)))
-                for j, v in enumerate(var_sides):
-                    if not used[j] and _extends(v, ctx, m):
-                        used[j] = True
-                        break
-                else:
-                    break
-            else:
+            if all(map(_extends, var_sides, repeat(ctx), a.members)):
                 return None
     return "premises do not cover the members"
 
 
 def _check_epistemic(concl, prems, meta):
+    # from B_{e,i}[Gamma -> Theta] infer B_e[B_i Gamma -> B_i Theta]
     (p,) = prems
+    i = meta.agent
     if len(concl.succ) > 1:
         return "epistemic distribution needs at most one succedent formula"
-    agents = set()
     for f in concl.ante:
-        if type(f) is not Bel:
-            return "antecedent must be fully inside one agent's belief"
-        agents.add(f.agent)
+        if type(f) is not Bel or f.agent != i:
+            return "antecedent must be fully inside the agent's belief"
     for f in concl.succ:
-        if type(f) is not Bel:
-            return "succedent must be fully inside one agent's belief"
-        agents.add(f.agent)
-    if meta is not None and meta.agent is not None:
-        agents.add(meta.agent)
-    if len(agents) != 1:
-        return "no single distributing agent" if agents or meta is None else "agent hint missing"
-    (i,) = tuple(agents)
+        if type(f) is not Bel or f.agent != i:
+            return "succedent must be fully inside the agent's belief"
     if p.prefix != concl.prefix + (i,):
         return "premise prefix must extend the conclusion prefix by the agent"
     if p.ante != FormulaSet.of(f.child for f in concl.ante):
@@ -860,21 +813,21 @@ def _check_epistemic(concl, prems, meta):
     return None
 
 
-# rule -> (checker, arity, the checker's further arguments: the connective
-# and whether the principal sits in the antecedent); arity None means "one
-# per member", at least one
+# rule -> (checker, arity, the RuleMeta hints the rule needs, the checker's
+# further arguments: the connective and whether the principal sits in the
+# antecedent); arity None means "one per member", at least one
 _RULES = {
-    Rule.Th: (_check_th, 1, ()),
-    Rule.Cut: (_check_cut, 2, ()),
-    Rule.NotLeft: (_check_not, 1, (True,)),
-    Rule.NotRight: (_check_not, 1, (False,)),
-    Rule.ImpLeft: (_check_imp_left, 2, ()),
-    Rule.ImpRight: (_check_imp_right, 1, ()),
-    Rule.AndLeft: (_check_pick, 1, (And, True)),
-    Rule.AndRight: (_check_split, None, (And, False)),
-    Rule.OrLeft: (_check_split, None, (Or, True)),
-    Rule.OrRight: (_check_pick, 1, (Or, False)),
-    Rule.EpistemicDist: (_check_epistemic, 1, ()),
+    Rule.Th: (_check_th, 1, (), ()),
+    Rule.Cut: (_check_cut, 2, ("cut",), ()),
+    Rule.NotLeft: (_check_not, 1, ("principal",), (True,)),
+    Rule.NotRight: (_check_not, 1, ("principal",), (False,)),
+    Rule.ImpLeft: (_check_imp_left, 2, ("principal",), ()),
+    Rule.ImpRight: (_check_imp_right, 1, ("principal",), ()),
+    Rule.AndLeft: (_check_pick, 1, ("principal", "member"), (And, True)),
+    Rule.AndRight: (_check_split, None, ("principal",), (And, False)),
+    Rule.OrLeft: (_check_split, None, ("principal",), (Or, True)),
+    Rule.OrRight: (_check_pick, 1, ("principal", "member"), (Or, False)),
+    Rule.EpistemicDist: (_check_epistemic, 1, ("agent",), ()),
 }
 
 
@@ -888,12 +841,15 @@ def _rule_failure(conclusion, premises, rule, meta) -> Optional[str]:
     entry = _RULES.get(rule)
     if entry is None:
         return f"{rule.value} is not an inference rule"
-    checker, want, args = entry
+    checker, want, hints, args = entry
     if want is not None:
         if len(premises) != want:
             return f"{rule.value} takes {want} premise(s), got {len(premises)}"
     elif not premises:
         return f"{rule.value} needs at least one premise"
+    for hint in hints:
+        if getattr(meta, hint, None) is None:
+            return f"{rule.value} needs the {hint} hint"
     # every rule but EpistemicDist keeps the prefix; that one extends it
     if checker is not _check_epistemic:
         prefix = conclusion.prefix

@@ -27,7 +27,7 @@ from epicore.jsonio import (
     proof_from_obj,
     proof_to_obj,
 )
-from epicore.logic import check_proof
+from epicore.logic import CheckResult, check_proof
 from epicore.replica import EdgeworthEconomy, ReplicaEconomy
 
 
@@ -201,6 +201,19 @@ def test_prove_acceptable_polarity(min_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_prove_refuses_a_written_proof_the_kernel_rejects(min_path, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_proof",
+                        lambda proof: CheckResult(False, (0,), "forced rejection"))
+    proof_file = str(tmp_path / "proof.json")
+    assert main(["prove", min_path, "-i", "1", "-K", "1,2", "-x", "0,0",
+                 "-o", proof_file]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("verification failure: written proof rejected at [0]: "
+                       "forced rejection\n")
+
+
 def test_bound_six_round_trip_is_small_and_fast(tmp_path, capsys):
     # the acceptable proof over the full knowledge set: 1,389 nodes, |Gamma| = 507
     game, proof_file = str(tmp_path / "g6.json"), str(tmp_path / "proof.json")
@@ -295,10 +308,11 @@ def test_check_accepts_the_well_formed_base_files(obj, tmp_path, capsys):
     assert out.startswith("ok: ")
 
 
-def _expect_one_error_line(code, err, elapsed, reason):
-    assert code == 1
+def _expect_one_error_line(code, err, elapsed, reason, want=1):
+    # exit 1 refuses the input, exit 2 is the kernel's rejection
+    assert code == want
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:" if want == 1 else "rejected at")
     assert "Traceback" not in err
     assert reason in err
     assert elapsed < 1.0
@@ -320,11 +334,13 @@ def _expect_one_error_line(code, err, elapsed, reason):
     (_axiom_file([_GEQ], vectors=([["1"]], [["0", "0"]])), "exactly two commodity"),
     (_axiom_file([_GEQ], vectors=([["1", "0", "5"]], [["0", "0"]])), "exactly two commodity"),
     (_axiom_file([_GEQ], vectors=([["-1", "4"]], [["0", "0"]])), "non-negative"),
+    (_axiom_file([_GEQ], vectors=([True, "0"], ["0", "0"])), "got True"),
+    (_axiom_file([_GEQ], vectors=([["1", "0"]], [[False, "0"]])), "got False"),
 ], ids=["ach-without-vector", "over-beyond-payload", "payload-lengths-differ",
         "meta-is-a-list", "prefix-entries-not-ints", "prefix-entry-object",
         "prefix-entry-zero", "prefix-entry-bool", "meta-agent-string",
         "meta-agent-zero", "bel-agent-bool", "bundle-of-one", "bundle-of-three",
-        "bundle-negative"])
+        "bundle-negative", "vector-entry-bool", "bundle-entry-bool"])
 def test_check_rejects_malformed_formula_objects(obj, reason, tmp_path, capsys):
     code, _, err, elapsed = _run_check(obj, tmp_path, capsys)
     _expect_one_error_line(code, err, elapsed, reason)
@@ -427,7 +443,7 @@ def _atoms_and_or(size):
 
 def _split_in_reverse(size):
     # an OrLeft root over flat sides whose premises list the members in
-    # reverse: pairing them in any order tries every premise per member
+    # reverse: the premises must follow the members in order
     nodes = [{"prefix": [], "ante": {"delta": [size - 1 - j]}, "succ": {"delta": []},
               "rule": "LogicalAxiom"} for j in range(size)]
     nodes.append({"prefix": [], "ante": {"delta": [size]}, "succ": {"delta": []},
@@ -436,23 +452,27 @@ def _split_in_reverse(size):
     return dict(_atoms_and_or(size), nodes=nodes)
 
 
-def _unhinted_picks(size):
-    # a valid proof of Or -> Or: OrLeft over `size` unhinted OrRight nodes,
-    # the j-th of which the kernel finds only at the Or's j-th member
+def _picks(size, hinted):
+    # a proof of Or -> Or: OrLeft over `size` OrRight nodes, the j-th of
+    # which picks the Or's j-th member; each scans the Or's members once
+    # when `hinted`, and names neither principal nor member otherwise
     nodes = []
     for j in range(size):
         nodes.append({"prefix": [], "ante": {"delta": [j]}, "succ": {"delta": [j]},
                       "rule": "LogicalAxiom"})
-        nodes.append({"prefix": [], "ante": {"delta": [j]}, "succ": {"delta": [size]},
-                      "rule": "OrRight", "children": [2 * j]})
+        pick = {"prefix": [], "ante": {"delta": [j]}, "succ": {"delta": [size]},
+                "rule": "OrRight", "children": [2 * j]}
+        if hinted:
+            pick["meta"] = {"principal": size, "member": j}
+        nodes.append(pick)
     nodes.append({"prefix": [], "ante": {"delta": [size]}, "succ": {"delta": [size]},
-                  "rule": "OrLeft", "children": list(range(1, 2 * size, 2))})
+                  "rule": "OrLeft", "meta": {"principal": size},
+                  "children": list(range(1, 2 * size, 2))})
     return dict(_atoms_and_or(size), nodes=nodes)
 
 
 def _unhinted_cut(size):
-    # a Cut that names no cut formula between sides of `size` atoms: every
-    # atom is a candidate, and trying one reads every side again
+    # a Cut that names no cut formula between sides of `size` atoms
     atoms = list(range(size))
     nodes = [{"prefix": [], "ante": {"delta": []}, "succ": {"delta": atoms},
               "rule": "LogicalAxiom"},
@@ -463,37 +483,41 @@ def _unhinted_cut(size):
     return dict(_atoms_and_or(size), nodes=nodes)
 
 
-@pytest.mark.parametrize("obj, reason", [
-    (_axiom_file([_GEQ, {"t": "not", "child": 1}]), "formula id 1 is not an earlier row"),
-    (_axiom_file([{"t": "not", "child": -1}]), "formula id -1"),
-    (_axiom_file([dict(_GEQ, right=2)]), "vector id 2"),
-    (_axiom_file([dict(_GEQ, right=True)]), "vector id True"),
-    (_with_nodes([dict(_leaf(), ante={"base": 0, "delta": []})]), "set id 0"),
-    (_with_nodes([_leaf()], sets=[[1]]), "formula id 1"),
-    (_with_nodes([dict(_leaf(), succ={"delta": [3]})]), "formula id 3"),
-    (_with_nodes([_th(1), _leaf()]), "node id 1"),
-    (_with_nodes([_leaf(), _th(0), _th(0)]), "node 0 is a child twice"),
-    (_with_nodes([_leaf(), dict(_th(0), rule="AndRight", children=[0, 0])]),
+@pytest.mark.parametrize("obj, want, reason", [
+    (_axiom_file([_GEQ, {"t": "not", "child": 1}]), 1, "formula id 1 is not an earlier row"),
+    (_axiom_file([{"t": "not", "child": -1}]), 1, "formula id -1"),
+    (_axiom_file([dict(_GEQ, right=2)]), 1, "vector id 2"),
+    (_axiom_file([dict(_GEQ, right=True)]), 1, "vector id True"),
+    (_with_nodes([dict(_leaf(), ante={"base": 0, "delta": []})]), 1, "set id 0"),
+    (_with_nodes([_leaf()], sets=[[1]]), 1, "formula id 1"),
+    (_with_nodes([dict(_leaf(), succ={"delta": [3]})]), 1, "formula id 3"),
+    (_with_nodes([_th(1), _leaf()]), 1, "node id 1"),
+    (_with_nodes([_leaf(), _th(0), _th(0)]), 1, "node 0 is a child twice"),
+    (_with_nodes([_leaf(), dict(_th(0), rule="AndRight", children=[0, 0])]), 1,
      "node 0 is a child twice"),
-    (_with_nodes([_leaf(), _leaf()]), "node 0 has no parent"),
-    (_with_nodes([]), "no nodes"),
-    (dict(_axiom_file([_GEQ]), version=2), "unknown field in proof file: 'version'"),
-    (_axiom_file([dict(_GEQ, note="x")]), "unknown field in 'geq' formula: 'note'"),
-    (_with_nodes([dict(_leaf(), sequent={})]), "unknown field in proof node: 'sequent'"),
-    (_with_nodes([dict(_leaf(), ante={"delta": [], "flat": 0})]),
+    (_with_nodes([_leaf(), _leaf()]), 1, "node 0 has no parent"),
+    (_with_nodes([]), 1, "no nodes"),
+    (dict(_axiom_file([_GEQ]), version=2), 1, "unknown field in proof file: 'version'"),
+    (_axiom_file([dict(_GEQ, note="x")]), 1, "unknown field in 'geq' formula: 'note'"),
+    (_with_nodes([dict(_leaf(), sequent={})]), 1, "unknown field in proof node: 'sequent'"),
+    (_with_nodes([dict(_leaf(), ante={"delta": [], "flat": 0})]), 1,
      "unknown field in sequent side: 'flat'"),
-    (_axiom_file([_GEQ], meta={"hint": 0}), "unknown field in proof meta: 'hint'"),
-    (_old_nested_file(), "proof file needs field 'vectors'"),
-    (_formula_chain(lambda last, nxt: [{"t": "not", "child": last}], 64),
+    (_axiom_file([_GEQ], meta={"hint": 0}), 1, "unknown field in proof meta: 'hint'"),
+    (_old_nested_file(), 1, "proof file needs field 'vectors'"),
+    (_formula_chain(lambda last, nxt: [{"t": "not", "child": last}], 64), 1,
      "nested deeper than 64"),
-    (_with_nodes([_leaf()] + [_th(k) for k in range(2999)]), "deeper than 64 nodes"),
+    (_with_nodes([_leaf()] + [_th(k) for k in range(2999)]), 1, "deeper than 64 nodes"),
     (_formula_chain(lambda last, nxt: [{"t": "not", "child": last},
-                                       {"t": "and", "members": [last, nxt]}], 40),
+                                       {"t": "and", "members": [last, nxt]}], 40), 1,
      "expand to more than"),
-    (_shared_base_split(8000), "would read more than 250000 formulas"),
-    (_split_in_reverse(8000), "would read more than 250000 formulas"),
-    (_unhinted_picks(2000), "would read more than 250000 formulas"),
-    (_unhinted_cut(5000), "would read more than 250000 formulas"),
+    # the root pairs each premise with its member in one delta read, and
+    # the first premise, a Th without a child, fails
+    (_shared_base_split(8000), 2, "rejected at [0]: Th: Th takes 1 premise(s), got 0"),
+    (_split_in_reverse(8000), 2, "rejected at []: OrLeft: premises do not cover the members"),
+    (_picks(2000, hinted=False), 2,
+     "rejected at [0]: OrRight: OrRight needs the principal hint"),
+    (_unhinted_cut(5000), 2, "rejected at []: Cut: Cut needs the cut hint"),
+    (_picks(2000, hinted=True), 1, "would read more than 250000 formulas"),
 ], ids=["formula-self-reference", "formula-id-negative", "vector-id-past-end",
         "vector-id-bool", "set-id-past-end", "set-row-formula-past-end",
         "delta-id-past-end", "child-not-earlier", "child-of-two-nodes",
@@ -501,10 +525,11 @@ def _unhinted_cut(size):
         "unknown-formula-field", "unknown-node-field", "unknown-side-field",
         "unknown-meta-field", "old-nested-format", "formula-too-deep",
         "proof-too-deep", "formulas-expand-too-far", "base-read-per-premise",
-        "split-in-reverse-order", "unhinted-member-scan", "unhinted-cut"])
-def test_check_rejects_hostile_tables(obj, reason, tmp_path, capsys):
+        "split-in-reverse-order", "unhinted-member-scan", "unhinted-cut",
+        "hinted-member-scans"])
+def test_check_rejects_hostile_tables(obj, want, reason, tmp_path, capsys):
     code, _, err, elapsed = _run_check(obj, tmp_path, capsys)
-    _expect_one_error_line(code, err, elapsed, reason)
+    _expect_one_error_line(code, err, elapsed, reason, want)
 
 
 def test_check_reads_equal_rows_as_one_formula(tmp_path, capsys):

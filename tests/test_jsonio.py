@@ -42,11 +42,14 @@ from epicore.jsonio import (
 from epicore.logic import (
     EMPTY_SET,
     Ach,
+    Bel,
     FormulaSet,
     Geq,
+    Implies,
     Not,
     ProofTree,
     Rule,
+    RuleMeta,
     ThoughtSequent,
     check_proof,
     strict_gain,
@@ -77,7 +80,7 @@ def test_rational_accepts_plain_numbers():
     assert rational_from_str("10") == Fraction(10)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.5.2", [], {"p": 1}])
+@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.5.2", [], {"p": 1}, True, False])
 def test_rational_rejects_garbage(bad):
     with pytest.raises(InvalidInputError):
         rational_from_str(bad)
@@ -110,6 +113,7 @@ def test_game_from_obj_requires_every_coalition():
     {"players": 2, "v": {"1": 1, "2": 1, "1,2": 3, "3": 1}},
     {"players": 2, "v": {"1": 1, "2": 1, "1,2": "x"}},
     {"players": "two", "v": {}},
+    {"players": True, "v": {"1": 3}},
 ])
 def test_game_from_obj_rejects_bad_shapes(obj):
     with pytest.raises(InvalidInputError):
@@ -193,7 +197,8 @@ def test_payload_bundles_round_trip():
     assert payload_from_obj(payload_to_obj(vec)) == vec
 
 
-@pytest.mark.parametrize("obj", ["3", ["1/2", "x"], [["1", "2"], "3"], [], None])
+@pytest.mark.parametrize("obj", ["3", ["1/2", "x"], [["1", "2"], "3"], [], None,
+                                 [True, "0"], [["0", False]]])
 def test_payload_from_obj_rejects_bad_shapes(obj):
     with pytest.raises(InvalidInputError):
         payload_from_obj(obj)
@@ -311,6 +316,36 @@ def test_proof_round_trip_is_stable():
     obj = proof_to_obj(proof)
     again = proof_to_obj(proof_from_obj(obj))
     assert json.dumps(obj, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+def test_implication_and_belief_proof_round_trips_through_a_file(tmp_path):
+    # B[a -> b -> a -> b] by ImpRight over modus ponens (ImpLeft), where
+    # a = Bel(1, geq) and the leaf a -> a comes by EpistemicDist
+    c1, c12 = Coalition.of(1), Coalition.of(1, 2)
+    geq = Geq((1, 0), c12, c1, (0, 0), c12)
+    a, b = Bel(1, geq), Ach((1, 0), c12)
+    imp = Implies(a, b)
+
+    def node(ante, succ, rule, children=(), meta=None, prefix=()):
+        return ProofTree(ThoughtSequent(prefix, FormulaSet.of(ante), FormulaSet.of(succ)),
+                         rule, tuple(children), meta)
+
+    a_to_a = node([a], [a], Rule.EpistemicDist,
+                  [node([geq], [geq], Rule.LogicalAxiom, prefix=(1,))], RuleMeta(agent=1))
+    left = node([a], [b, a], Rule.Th, [a_to_a])
+    right = node([b, a], [b], Rule.Th, [node([b], [b], Rule.LogicalAxiom)])
+    mp = node([imp, a], [b], Rule.ImpLeft, [left, right], RuleMeta(principal=imp))
+    proof = node([imp], [imp], Rule.ImpRight, [mp], RuleMeta(principal=imp))
+    assert check_proof(proof)
+
+    obj = proof_to_obj(proof)
+    assert {row["t"] for row in obj["formulas"]} >= {"implies", "bel"}
+    assert {"agent": 1} in [row.get("meta") for row in obj["nodes"]]
+    path = str(tmp_path / "proof.json")
+    dump_json(obj, path)
+    reloaded = proof_from_obj(load_json(path))
+    assert check_proof(reloaded)
+    assert proof_to_obj(reloaded) == obj
 
 
 @pytest.mark.parametrize("n, bound", [(3, 8), (4, 2)])

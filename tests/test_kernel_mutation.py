@@ -8,8 +8,10 @@ duplicated, a formula added to one side, a prefix changed, or a meta
 principal swapped for another formula of the node.
 
 The kernel must return normally on every mutant and reject every one except
-the meta mutants: a hint only steers the search, so a meta mutant may be
-accepted, but then it still concludes the original root sequent.
+the meta mutants: the hints name the rule instance the kernel checks, and
+a rule ignores the hints it does not need, so a meta mutant may name
+another valid instance of the same step and be accepted, but then it
+still concludes the original root sequent.
 
 The same proofs are also written to proof files, and each file gets a few
 mutants that change one index: a formula, vector, set, delta or child id

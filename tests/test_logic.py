@@ -198,14 +198,14 @@ def test_th_weakening():
 def test_cut():
     p1 = seq([], [G_TRUE])
     p2 = seq([G_TRUE, P], [Q])
-    assert rule_instance_valid(seq([P], [Q]), [p1, p2], Rule.Cut)
-    assert rule_instance_valid(seq([P], [Q]), [p1, p2], Rule.Cut, RuleMeta(cut=G_TRUE))
+    cut = RuleMeta(cut=G_TRUE)
+    assert rule_instance_valid(seq([P], [Q]), [p1, p2], Rule.Cut, cut)
     assert not rule_instance_valid(seq([P], [Q]), [p1, p2], Rule.Cut, RuleMeta(cut=P))
-    assert not rule_instance_valid(seq([], [Q]), [p1, p2], Rule.Cut)
+    assert not rule_instance_valid(seq([], [Q]), [p1, p2], Rule.Cut, cut)
     # the cut formula may also survive in a context set
     p3 = seq([G_TRUE], [G_TRUE])
     p4 = seq([G_TRUE], [])
-    assert rule_instance_valid(seq([G_TRUE], []), [p3, p4], Rule.Cut)
+    assert rule_instance_valid(seq([G_TRUE], []), [p3, p4], Rule.Cut, cut)
     # a hinted cut formula must occur in both premises
     assert not rule_instance_valid(seq([G_TRUE, P], [G_TRUE, Q]), [p1, p2], Rule.Cut,
                                    RuleMeta(cut=R))
@@ -215,109 +215,172 @@ def test_cut():
 
 def test_not_left():
     prem = seq([Q], [P])
-    assert rule_instance_valid(seq([Not(P), Q], []), [prem], Rule.NotLeft)
-    assert rule_instance_valid(seq([Not(P), Q], []), [prem], Rule.NotLeft,
-                               RuleMeta(principal=P))
+    hint = RuleMeta(principal=P)
+    assert rule_instance_valid(seq([Not(P), Q], []), [prem], Rule.NotLeft, hint)
     # absorption: P may sit inside Theta as well
     prem2 = seq([Q], [P, R])
-    assert rule_instance_valid(seq([Not(P), Q], [R]), [prem2], Rule.NotLeft)
-    assert rule_instance_valid(seq([Not(P), Q], [P, R]), [prem2], Rule.NotLeft)
-    assert not rule_instance_valid(seq([Not(P)], []), [prem], Rule.NotLeft)
-    assert not rule_instance_valid(seq([Not(Q), Q], []), [prem], Rule.NotLeft)
-    # a hint restricts the search to the formula it names
+    assert rule_instance_valid(seq([Not(P), Q], [R]), [prem2], Rule.NotLeft, hint)
+    assert rule_instance_valid(seq([Not(P), Q], [P, R]), [prem2], Rule.NotLeft, hint)
+    assert not rule_instance_valid(seq([Not(P)], []), [prem], Rule.NotLeft, hint)
+    assert not rule_instance_valid(seq([Not(Q), Q], []), [prem], Rule.NotLeft,
+                                   RuleMeta(principal=Q))
+    # the kernel checks only the instance the hint names
     assert not rule_instance_valid(seq([Not(P), Not(R), Q], []), [seq([Not(R), Q], [P])],
                                    Rule.NotLeft, RuleMeta(principal=R))
 
 
 def test_not_right():
     prem = seq([P, Q], [R])
-    assert rule_instance_valid(seq([Q], [R, Not(P)]), [prem], Rule.NotRight)
-    assert not rule_instance_valid(seq([Q], [Not(P)]), [prem], Rule.NotRight)
-    assert not rule_instance_valid(seq([Q], [R, Not(Q)]), [prem], Rule.NotRight)
+    hint = RuleMeta(principal=P)
+    assert rule_instance_valid(seq([Q], [R, Not(P)]), [prem], Rule.NotRight, hint)
+    assert not rule_instance_valid(seq([Q], [Not(P)]), [prem], Rule.NotRight, hint)
+    assert not rule_instance_valid(seq([Q], [R, Not(Q)]), [prem], Rule.NotRight,
+                                   RuleMeta(principal=Q))
     # keeping P on the left as well is a legal reading of Gamma
-    assert rule_instance_valid(seq([P, Q], [R, Not(P)]), [prem], Rule.NotRight)
+    assert rule_instance_valid(seq([P, Q], [R, Not(P)]), [prem], Rule.NotRight, hint)
 
 
 def test_imp_left():
     imp = Implies(P, Q)
+    hint = RuleMeta(principal=imp)
     p1 = seq([R], [G_TRUE, P])
     p2 = seq([R, Q], [G_TRUE])
-    assert rule_instance_valid(seq([imp, R], [G_TRUE]), [p1, p2], Rule.ImpLeft)
-    assert not rule_instance_valid(seq([imp, R], [G_TRUE]), [p2, p1], Rule.ImpLeft)
-    assert not rule_instance_valid(seq([imp], [G_TRUE]), [p1, p2], Rule.ImpLeft)
+    assert rule_instance_valid(seq([imp, R], [G_TRUE]), [p1, p2], Rule.ImpLeft, hint)
+    assert not rule_instance_valid(seq([imp, R], [G_TRUE]), [p2, p1], Rule.ImpLeft, hint)
+    assert not rule_instance_valid(seq([imp], [G_TRUE]), [p1, p2], Rule.ImpLeft, hint)
     # the second premise keeps the conclusion's succedent
     assert not rule_instance_valid(seq([imp, R], [G_TRUE]),
-                                   [p1, seq([R, Q], [G_TRUE, P])], Rule.ImpLeft)
+                                   [p1, seq([R, Q], [G_TRUE, P])], Rule.ImpLeft, hint)
 
 
 def test_imp_right():
     imp = Implies(P, Q)
+    hint = RuleMeta(principal=imp)
     prem = seq([P, R], [Q])
-    assert rule_instance_valid(seq([R], [imp]), [prem], Rule.ImpRight)
+    assert rule_instance_valid(seq([R], [imp]), [prem], Rule.ImpRight, hint)
     prem2 = seq([P, R], [Q, G_TRUE])
-    assert rule_instance_valid(seq([R], [imp, G_TRUE]), [prem2], Rule.ImpRight)
-    assert not rule_instance_valid(seq([R], [Implies(Q, P)]), [prem], Rule.ImpRight)
+    assert rule_instance_valid(seq([R], [imp, G_TRUE]), [prem2], Rule.ImpRight, hint)
+    assert not rule_instance_valid(seq([R], [Implies(Q, P)]), [prem], Rule.ImpRight,
+                                   RuleMeta(principal=Implies(Q, P)))
     # A must join the antecedent, B' must sit in the premise succedent
-    assert not rule_instance_valid(seq([R], [imp]), [seq([R], [Q])], Rule.ImpRight)
+    assert not rule_instance_valid(seq([R], [imp]), [seq([R], [Q])], Rule.ImpRight, hint)
     assert not rule_instance_valid(seq([R], [imp, G_TRUE]), [seq([P, R], [G_TRUE])],
-                                   Rule.ImpRight)
+                                   Rule.ImpRight, hint)
 
 
 def test_and_left():
     conj = And([P, Q])
+    pick_p = RuleMeta(principal=conj, member=P)
     assert rule_instance_valid(seq([conj, R], [G_TRUE]), [seq([P, R], [G_TRUE])],
-                               Rule.AndLeft)
+                               Rule.AndLeft, pick_p)
     assert rule_instance_valid(seq([conj, R], [G_TRUE]), [seq([Q, R], [G_TRUE])],
                                Rule.AndLeft, RuleMeta(principal=conj, member=Q))
     # absorption: the conjunction may stay in the premise context
     assert rule_instance_valid(seq([conj], [G_TRUE]), [seq([P, conj], [G_TRUE])],
-                               Rule.AndLeft)
+                               Rule.AndLeft, pick_p)
     assert not rule_instance_valid(seq([conj, R], [G_TRUE]), [seq([G_TRUE, R], [G_TRUE])],
-                                   Rule.AndLeft)
+                                   Rule.AndLeft, RuleMeta(principal=conj, member=G_TRUE))
     assert not rule_instance_valid(seq([conj, R], [G_TRUE]),
                                    [seq([P, R], [G_TRUE])],
                                    Rule.AndLeft, RuleMeta(principal=conj, member=R))
     # the succedent is untouched
     assert not rule_instance_valid(seq([conj, R], [G_TRUE]),
-                                   [seq([P, R], [G_TRUE, Q])], Rule.AndLeft)
-    # hints restrict the search to the principal and the member they name
+                                   [seq([P, R], [G_TRUE, Q])], Rule.AndLeft, pick_p)
+    # the kernel checks only the principal and the member the hints name
     other = And([Q, R])
     assert not rule_instance_valid(seq([conj, other], [G_TRUE]),
                                    [seq([P, other], [G_TRUE])],
-                                   Rule.AndLeft, RuleMeta(principal=other))
+                                   Rule.AndLeft, RuleMeta(principal=other, member=P))
     assert not rule_instance_valid(seq([conj, R], [G_TRUE]), [seq([P, R], [G_TRUE])],
                                    Rule.AndLeft, RuleMeta(principal=conj, member=Q))
 
 
 def test_and_right():
     conj = And([P, Q, R])
+    hint = RuleMeta(principal=conj)
     prems = [seq([G_TRUE], [f]) for f in conj.members]
-    assert rule_instance_valid(seq([G_TRUE], [conj]), prems, Rule.AndRight)
-    # premise order may be permuted
-    assert rule_instance_valid(seq([G_TRUE], [conj]), prems[::-1], Rule.AndRight)
-    assert not rule_instance_valid(seq([G_TRUE], [conj]), prems[:2], Rule.AndRight)
-    assert not rule_instance_valid(seq([], [conj]), prems, Rule.AndRight)
+    assert rule_instance_valid(seq([G_TRUE], [conj]), prems, Rule.AndRight, hint)
+    # the premises follow the members in order
+    assert not rule_instance_valid(seq([G_TRUE], [conj]), prems[::-1], Rule.AndRight, hint)
+    assert not rule_instance_valid(seq([G_TRUE], [conj]), prems[:2], Rule.AndRight, hint)
+    assert not rule_instance_valid(seq([], [conj]), prems, Rule.AndRight, hint)
 
 
 def test_or_left():
     disj = Or([P, Q])
+    hint = RuleMeta(principal=disj)
     prems = [seq([f, R], [G_TRUE]) for f in disj.members]
-    assert rule_instance_valid(seq([disj, R], [G_TRUE]), prems, Rule.OrLeft)
-    assert not rule_instance_valid(seq([disj, R], [G_TRUE]), prems[:1], Rule.OrLeft)
+    assert rule_instance_valid(seq([disj, R], [G_TRUE]), prems, Rule.OrLeft, hint)
+    assert not rule_instance_valid(seq([disj, R], [G_TRUE]), prems[::-1], Rule.OrLeft, hint)
+    assert not rule_instance_valid(seq([disj, R], [G_TRUE]), prems[:1], Rule.OrLeft, hint)
     assert not rule_instance_valid(seq([disj, R], [G_TRUE]),
-                                   [prems[0], seq([Q], [G_TRUE])], Rule.OrLeft)
+                                   [prems[0], seq([Q], [G_TRUE])], Rule.OrLeft, hint)
 
 
 def test_or_right():
     disj = Or([P, Q])
-    assert rule_instance_valid(seq([R], [disj]), [seq([R], [P])], Rule.OrRight)
+    pick_p = RuleMeta(principal=disj, member=P)
+    assert rule_instance_valid(seq([R], [disj]), [seq([R], [P])], Rule.OrRight, pick_p)
     assert rule_instance_valid(seq([R], [disj]), [seq([R], [Q])], Rule.OrRight,
                                RuleMeta(principal=disj, member=Q))
-    assert not rule_instance_valid(seq([R], [disj]), [seq([R], [R])], Rule.OrRight)
+    assert not rule_instance_valid(seq([R], [disj]), [seq([R], [R])], Rule.OrRight,
+                                   RuleMeta(principal=disj, member=R))
     # disjunct already present alongside the disjunction
-    assert rule_instance_valid(seq([R], [disj, P]), [seq([R], [P])], Rule.OrRight)
+    assert rule_instance_valid(seq([R], [disj, P]), [seq([R], [P])], Rule.OrRight, pick_p)
     # the antecedent is untouched
-    assert not rule_instance_valid(seq([R], [disj]), [seq([R, Q], [P])], Rule.OrRight)
+    assert not rule_instance_valid(seq([R], [disj]), [seq([R, Q], [P])], Rule.OrRight,
+                                   pick_p)
+
+
+# One instance of each rule that needs hints, valid with them; without any
+# one of them the kernel rejects the node and names the missing hint.
+HINTED_INSTANCES = {
+    Rule.Cut: (seq([P], [Q]), [seq([], [G_TRUE]), seq([G_TRUE, P], [Q])],
+               RuleMeta(cut=G_TRUE)),
+    Rule.NotLeft: (seq([Not(P), Q], []), [seq([Q], [P])], RuleMeta(principal=P)),
+    Rule.NotRight: (seq([Q], [R, Not(P)]), [seq([P, Q], [R])], RuleMeta(principal=P)),
+    Rule.ImpLeft: (seq([Implies(P, Q), R], [G_TRUE]),
+                   [seq([R], [G_TRUE, P]), seq([R, Q], [G_TRUE])],
+                   RuleMeta(principal=Implies(P, Q))),
+    Rule.ImpRight: (seq([R], [Implies(P, Q)]), [seq([P, R], [Q])],
+                    RuleMeta(principal=Implies(P, Q))),
+    Rule.AndLeft: (seq([And([P, Q]), R], [G_TRUE]), [seq([P, R], [G_TRUE])],
+                   RuleMeta(principal=And([P, Q]), member=P)),
+    Rule.AndRight: (seq([R], [And([P, Q])]), [seq([R], [P]), seq([R], [Q])],
+                    RuleMeta(principal=And([P, Q]))),
+    Rule.OrLeft: (seq([Or([P, Q]), R], [G_TRUE]),
+                  [seq([P, R], [G_TRUE]), seq([Q, R], [G_TRUE])],
+                  RuleMeta(principal=Or([P, Q]))),
+    Rule.OrRight: (seq([R], [Or([P, Q])]), [seq([R], [P])],
+                   RuleMeta(principal=Or([P, Q]), member=P)),
+    Rule.EpistemicDist: (seq([Bel(1, P)], [Bel(1, Q)], prefix=(3,)),
+                         [seq([P], [Q], prefix=(3, 1))], RuleMeta(agent=1)),
+}
+
+
+@pytest.mark.parametrize("rule", list(HINTED_INSTANCES), ids=lambda r: r.value)
+def test_a_node_without_a_required_hint_is_rejected(rule):
+    concl, prems, meta = HINTED_INSTANCES[rule]
+    assert rule_instance_valid(concl, prems, rule, meta)
+    named = [k for k in RuleMeta.__slots__ if getattr(meta, k) is not None]
+    for missing in named:
+        fields = {k: getattr(meta, k) for k in named if k != missing}
+        tree = ProofTree(concl, rule, tuple(ProofTree(p, Rule.Th) for p in prems),
+                         RuleMeta(**fields))
+        res = check_proof(tree)
+        assert not res and res.path == ()
+        assert res.reason == f"{rule.value}: {rule.value} needs the {missing} hint"
+    assert not rule_instance_valid(concl, prems, rule)
+
+
+def test_every_rule_is_checked_and_asks_only_for_hints_a_file_can_carry():
+    # a new Rule member needs a checker, and a checker's hints must be
+    # RuleMeta fields, which a proof file's "meta" object can name
+    axioms = {Rule.LogicalAxiom, Rule.NonLogicalAxiom}
+    assert set(Rule) == axioms | set(logic._RULES)
+    assert not axioms & set(logic._RULES)
+    for _, _, hints, _ in logic._RULES.values():
+        assert set(hints) <= set(RuleMeta.__slots__)
 
 
 # Each connective rule on an instance built around a principal formula X; the
@@ -428,29 +491,33 @@ def test_layered_sets_agree_with_flat_sets(base, concl_delta, prem_deltas, membe
 def test_epistemic_dist():
     prem = seq([P, Q], [R], prefix=(3, 1))
     concl = seq([Bel(1, P), Bel(1, Q)], [Bel(1, R)], prefix=(3,))
-    assert rule_instance_valid(concl, [prem], Rule.EpistemicDist)
+    agent = RuleMeta(agent=1)
+    assert rule_instance_valid(concl, [prem], Rule.EpistemicDist, agent)
+    # the hint must name the formulas' agent
+    assert not rule_instance_valid(concl, [seq([P, Q], [R], prefix=(3, 2))],
+                                   Rule.EpistemicDist, RuleMeta(agent=2))
     # at most one formula on the right
     bad = seq([Bel(1, P)], [Bel(1, Q), Bel(1, R)], prefix=(3,))
     assert not rule_instance_valid(bad, [seq([P], [Q, R], prefix=(3, 1))],
-                                   Rule.EpistemicDist)
+                                   Rule.EpistemicDist, agent)
     # all formulas must carry the same agent
     mixed = seq([Bel(1, P), Bel(2, Q)], [Bel(1, R)], prefix=(3,))
-    assert not rule_instance_valid(mixed, [prem], Rule.EpistemicDist)
+    assert not rule_instance_valid(mixed, [prem], Rule.EpistemicDist, agent)
     # and every formula must be a belief
     assert not rule_instance_valid(seq([P], [Bel(1, R)], prefix=(3,)),
-                                   [seq([P], [R], prefix=(3, 1))], Rule.EpistemicDist)
+                                   [seq([P], [R], prefix=(3, 1))], Rule.EpistemicDist, agent)
     assert not rule_instance_valid(seq([Bel(1, P)], [R], prefix=(3,)),
-                                   [seq([P], [R], prefix=(3, 1))], Rule.EpistemicDist)
+                                   [seq([P], [R], prefix=(3, 1))], Rule.EpistemicDist, agent)
     # the premise is the conclusion with the belief operator stripped
     assert not rule_instance_valid(concl, [seq([P], [R], prefix=(3, 1))],
-                                   Rule.EpistemicDist)
+                                   Rule.EpistemicDist, agent)
     assert not rule_instance_valid(concl, [seq([P, Q], [], prefix=(3, 1))],
-                                   Rule.EpistemicDist)
+                                   Rule.EpistemicDist, agent)
     # the premise prefix must be the conclusion prefix extended by the agent
     assert not rule_instance_valid(concl, [seq([P, Q], [R], prefix=(1, 3))],
-                                   Rule.EpistemicDist)
+                                   Rule.EpistemicDist, agent)
     assert not rule_instance_valid(concl, [seq([P, Q], [R], prefix=(3,))],
-                                   Rule.EpistemicDist)
+                                   Rule.EpistemicDist, agent)
     # empty sequents need the agent hint
     e_prem = seq([], [], prefix=(2,))
     e_concl = seq([], [], prefix=())
@@ -473,9 +540,9 @@ def test_arity_enforced():
 def build_small_proof():
     # B[ -> not not G_TRUE ] via the comparison axiom and two negation rules
     ax = ProofTree(seq([], [G_TRUE]), Rule.NonLogicalAxiom)
-    nl = ProofTree(seq([Not(G_TRUE)], []), Rule.NotLeft, (ax,))
-    nr = ProofTree(seq([], [Not(Not(G_TRUE))]), Rule.NotRight, (nl,))
-    return nr
+    nl = ProofTree(seq([Not(G_TRUE)], []), Rule.NotLeft, (ax,), RuleMeta(principal=G_TRUE))
+    return ProofTree(seq([], [Not(Not(G_TRUE))]), Rule.NotRight, (nl,),
+                     RuleMeta(principal=Not(G_TRUE)))
 
 
 def test_check_proof_accepts_valid_tree():
@@ -484,8 +551,9 @@ def test_check_proof_accepts_valid_tree():
 
 def test_check_proof_locates_corruption():
     ax = ProofTree(seq([], [G_FALSE]), Rule.NonLogicalAxiom)      # false comparison
-    nl = ProofTree(seq([Not(G_FALSE)], []), Rule.NotLeft, (ax,))
-    nr = ProofTree(seq([], [Not(Not(G_FALSE))]), Rule.NotRight, (nl,))
+    nl = ProofTree(seq([Not(G_FALSE)], []), Rule.NotLeft, (ax,), RuleMeta(principal=G_FALSE))
+    nr = ProofTree(seq([], [Not(Not(G_FALSE))]), Rule.NotRight, (nl,),
+                   RuleMeta(principal=Not(G_FALSE)))
     res = check_proof(nr)
     assert not res
     assert res.path == (0, 0)

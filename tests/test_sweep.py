@@ -1,4 +1,6 @@
-"""The exhaustive sweep and the cyclic garbage collector.
+"""The exhaustive sweep: where it stops, and the cyclic garbage collector.
+
+The sweep stops after the first worth group with failures.
 
 The sweep pauses the collector while a worth group runs, so it must hand
 back the collector as it found it: on a normal return, on a rejected proof
@@ -44,6 +46,19 @@ def test_sweep_restores_collector_state_after_failure(collector_state, monkeypat
     with pytest.raises(VerificationFailure, match="forced rejection"):
         _sweep.verify_all_queries(n=2, max_worth=2)
     assert gc.isenabled() is enabled
+
+
+def test_sweep_stops_after_the_first_group_with_failures(monkeypatch):
+    tops = []
+
+    def failing_group(n, top, coalitions, families, stats):
+        tops.append(top)
+        stats.failures.append(f"group {top}")
+
+    monkeypatch.setattr(_sweep, "_verify_group", failing_group)
+    with pytest.raises(VerificationFailure, match="first: group 0"):
+        _sweep.verify_all_queries(n=2, max_worth=2)
+    assert tops == [0]
 
 
 class Interrupted(Exception):
