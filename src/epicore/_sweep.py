@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .acceptability import _atom_space, _Emitter, _purge_spaces, decide
 from .errors import VerificationFailure
-from .games import PayoffVector, TUGame, all_coalitions
+from .games import PayoffVector, TUGame, all_coalitions, grid_units
 from .logic import ChainCache, Not, check_proof, collector_paused
 
 
@@ -86,10 +86,8 @@ def _verify_group(n: int, top: int, coalitions, families, stats: SweepStats):
         game = TUGame.from_values(
             n, {c: w for c, w in zip(coalitions, worths)})
         stats.games += 1
-        vn = game.v(game.grand)
         xs = [(PayoffVector.from_units(u, n), u)
-              for u in itertools.product(range(n * vn + 1), repeat=n)
-              if sum(u) <= n * vn]
+              for u in grid_units(n, n * game.v(game.grand))]
         for i in range(1, n + 1):
             for family in families:
                 fam_worths = tuple(game.v(s) for s in family)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .games import Coalition, PayoffVector, TUGame, all_coalitions
+from .games import Coalition, PayoffVector, TUGame, all_coalitions, grid_units
 from .logic import (
     EMPTY_SET,
     Ach,
@@ -129,8 +129,7 @@ class _AtomSpace:
     """
 
     __slots__ = ("n", "bound", "tags", "grand", "checked",
-                 "_vectors", "_ach", "_neg", "_negations", "_disj", "_bigor",
-                 "_stub")
+                 "_vectors", "_ach", "_neg", "_negations", "_bigor", "_stub")
 
     def __init__(self, n: int, bound: int):
         self.n = n
@@ -142,7 +141,6 @@ class _AtomSpace:
         self._ach: dict = {}
         self._neg: dict = {}
         self._negations = None
-        self._disj: dict = {}
         self._bigor: dict = {}
         self._stub: dict = {}
 
@@ -184,33 +182,20 @@ class _AtomSpace:
                                         for units in self.vectors())
         return self._negations
 
-    def disjuncts(self, i: int, x_units: tuple[int, ...]):
-        """(formula, tag, units) triples of the alternatives open to player
-        i against proposal x, in canonical order (coalition, then vector
-        lexicographic)."""
-        key = (i, x_units)
-        out = self._disj.get(key)
-        if out is None:
-            grand = self.grand
-            triples = []
-            for tag in self.tags:
-                if i not in tag:
-                    continue
-                for units in self.vectors():
-                    a = And._presorted((
-                        self.ach(units, tag),
-                        Geq(units, tag, tag, x_units, grand),
-                        strict_gain(units, tag, i, x_units, grand)))
-                    triples.append((a, tag, units))
-            out = self._disj[key] = tuple(triples)
-        return out
-
     def big_or(self, i: int, x_units: tuple[int, ...]) -> Or:
+        """The alternatives open to player i against proposal x, one
+        disjunct (Ach y^S, y >=_S x, y >_i x) per coalition S containing i
+        and grid vector y, in canonical order (coalition, then vector
+        lexicographic)."""
         key = (i, x_units)
         f = self._bigor.get(key)
         if f is None:
-            f = self._bigor[key] = Or._presorted(
-                tuple(a for a, _, _ in self.disjuncts(i, x_units)))
+            grand = self.grand
+            f = self._bigor[key] = Or._presorted(tuple(
+                And._presorted((self.ach(units, tag),
+                                Geq(units, tag, tag, x_units, grand),
+                                strict_gain(units, tag, i, x_units, grand)))
+                for tag in self.tags if i in tag for units in self.vectors()))
         return f
 
     def disjunct_for(self, i: int, x_units, tag: Coalition, units) -> And:
@@ -222,9 +207,10 @@ class _AtomSpace:
         rank = 0
         for u in units:
             rank = rank * (self.bound * self.n + 1) + u
-        entry = self.disjuncts(i, x_units)[base + rank]
-        assert entry[1] == tag and entry[2] == units
-        return entry[0]
+        entry = self.big_or(i, x_units).members[base + rank]
+        atom = entry.members[0]
+        assert atom.coalition == tag and atom.vector == units
+        return entry
 
     def _seed(self, tree: ProofTree) -> ProofTree:
         # long-lived stub: record it (and descendants) in the check cache
@@ -297,20 +283,6 @@ def _purge_spaces():
     _atom_space.cache_clear()
 
 
-def _feasible_units(n: int, coords: tuple[int, ...], cap_units: int):
-    """All unit tuples supported on the given coordinates with sum <= cap,
-    lexicographic on the full tuple."""
-    out = []
-    for acc in itertools.product(range(cap_units + 1), repeat=len(coords)):
-        if sum(acc) <= cap_units:
-            units = [0] * n
-            for c, u in zip(coords, acc):
-                units[c - 1] = u
-            out.append(tuple(units))
-    out.sort()
-    return tuple(out)
-
-
 def knowledge_set(game: TUGame, coalition: Coalition) -> frozenset[Ach]:
     """Atoms the coalition can actually deliver: support inside the
     coalition, total at most its worth."""
@@ -318,9 +290,16 @@ def knowledge_set(game: TUGame, coalition: Coalition) -> frozenset[Ach]:
 
 
 def _knowledge_units(game: TUGame, coalition: Coalition, space: _AtomSpace) -> tuple[Ach, ...]:
-    cap = game.n * game.v(coalition)
-    return tuple(space.ach(u, coalition)
-                 for u in _feasible_units(game.n, coalition.members, cap))
+    """Atoms of the unit tuples supported on the coalition with sum at most
+    n v(S), lexicographic (members ascend, so the grid order carries over)."""
+    n = game.n
+    out = []
+    for acc in grid_units(len(coalition), n * game.v(coalition)):
+        units = [0] * n
+        for p, u in zip(coalition.members, acc):
+            units[p - 1] = u
+        out.append(space.ach(tuple(units), coalition))
+    return tuple(out)
 
 
 def gamma(game: TUGame, family: Iterable[Coalition]) -> frozenset[Formula]:
@@ -417,13 +396,10 @@ class _Emitter:
     top layer of each proof.
     """
 
-    __slots__ = ("game", "i", "family", "space", "prefix", "gamma_fs",
-                 "_case1", "checked")
+    __slots__ = ("i", "space", "prefix", "gamma_fs", "_case1", "checked")
 
     def __init__(self, game: TUGame, i: int, family: tuple[Coalition, ...]):
-        self.game = game
         self.i = i
-        self.family = family
         self.space = _atom_space(game.n, game.bound)
         self.prefix = (i,)
         self.gamma_fs = FormulaSet.layered(gamma(game, family))
@@ -433,7 +409,7 @@ class _Emitter:
         self.checked: dict = {}
 
     def _case1_branches(self, disjuncts) -> tuple:
-        """Per disjunct, in disjuncts() order (the same for every proposal):
+        """Per disjunct, in big_or order (the same for every proposal):
         B[Gamma, y -> ] for its achievability atom y when Gamma negates y,
         a weakened atom refutation; None when y is a positive atom.  Built
         and checked on the first acceptable proof."""
@@ -442,14 +418,14 @@ class _Emitter:
             space, prefix, gamma_fs = self.space, self.prefix, self.gamma_fs
             cache = ChainCache(space.checked, local=self.checked)
             table = []
-            for a, tag, units in disjuncts:
+            for a in disjuncts:
                 atom = a.members[0]
                 if atom in gamma_fs.base:
                     table.append(None)
                     continue
                 node = ProofTree(
                     ThoughtSequent(prefix, gamma_fs.with_(atom), EMPTY_SET),
-                    Rule.Th, (space.refute_atom(self.i, units, tag),))
+                    Rule.Th, (space.refute_atom(self.i, atom.vector, atom.coalition),))
                 res = check_proof(node, cache)
                 assert res.ok, f"internal: bad atom-case branch: {res.reason}"
                 table.append(node)
@@ -465,25 +441,26 @@ class _Emitter:
         sequent, tree, meta = ThoughtSequent, ProofTree, RuleMeta
         and_left, empty = Rule.AndLeft, EMPTY_SET
         xi = x_units[i - 1]
-        disjuncts = space.disjuncts(i, x_units)
+        big_or = space.big_or(i, x_units)
+        disjuncts = big_or.members
         branches = []
         append = branches.append
-        for (a, tag, units), case1 in zip(disjuncts, self._case1_branches(disjuncts)):
+        for a, case1 in zip(disjuncts, self._case1_branches(disjuncts)):
+            atom = a.members[0]
             concl = sequent(prefix, with_(a), empty)
             if case1 is not None:
-                node = tree(concl, and_left, (case1,), meta(a, a.members[0]))
-            elif units[i - 1] <= xi:
+                node = tree(concl, and_left, (case1,), meta(a, atom))
+            elif atom.vector[i - 1] <= xi:
                 strict = a.members[2]
-                stub = space.refute_strict(i, units, tag, x_units, strict)
+                stub = space.refute_strict(i, atom.vector, atom.coalition, x_units, strict)
                 th = tree(sequent(prefix, with_(strict), empty), Rule.Th, (stub,))
                 node = tree(concl, and_left, (th,), meta(a, strict))
             else:
                 geq = a.members[1]
-                stub = space.refute_comparison(i, units, tag, x_units, geq)
+                stub = space.refute_comparison(i, atom.vector, atom.coalition, x_units, geq)
                 th = tree(sequent(prefix, with_(geq), empty), Rule.Th, (stub,))
                 node = tree(concl, and_left, (th,), meta(a, geq))
             append(node)
-        big_or = space.big_or(i, x_units)
         orleft = ProofTree(ThoughtSequent(prefix, gamma_fs.with_(big_or), EMPTY_SET),
                            Rule.OrLeft, tuple(branches), RuleMeta(principal=big_or))
         return ProofTree(ThoughtSequent(prefix, gamma_fs,

@@ -69,7 +69,7 @@ def _vector_text(x: PayoffVector) -> str:
 
 def _cmd_core(args) -> int:
     game = load_game(args.game)
-    vectors = sorted(enumerate_integer_core(game), key=lambda v: v.entries)
+    vectors = enumerate_integer_core(game)
     for x in vectors:
         print(_vector_text(x))
     if args.output:

@@ -227,37 +227,39 @@ def core_membership(game: TUGame, x: PayoffVector) -> bool:
     return all(x.coalition_sum(s) >= v for s, v in game.items())
 
 
-# The integer core is searched over every split of v(N) into n non-negative
-# integers, C(v(N) + n - 1, n - 1) of them at 20 to 100 us each.
-MAX_CORE_CANDIDATES = 20_000
+# A bounded-sum enumeration visits C(cap + m, m) tuples; the integer core,
+# for one, tests each split of v(N) at 20 to 100 us.
+MAX_GRID_UNITS = 20_000
+
+
+def grid_units(m: int, cap: int) -> tuple[tuple[int, ...], ...]:
+    """Every m-tuple of non-negative integers with sum at most cap, in
+    lexicographic order.  Refused before any is built when there are more
+    than MAX_GRID_UNITS of them."""
+    count = comb(cap + m, m)
+    if count > MAX_GRID_UNITS:
+        raise UnsupportedSizeError(
+            f"{count:,} vectors of length {m} have entries summing to at most "
+            f"{cap}; bounded-sum enumerations are guarded to {MAX_GRID_UNITS:,}")
+    tuples = [()]
+    for _ in range(m):
+        tuples = [t + (u,) for t in tuples for u in range(cap - sum(t) + 1)]
+    return tuple(tuples)
 
 
 def enumerate_integer_core(game: TUGame) -> tuple[PayoffVector, ...]:
     """All integer payoff vectors in the core, in lexicographic order.
 
     Finite because core vectors are non-negative (singleton rationality)
-    and sum to v(N).
+    and sum to v(N): every split of v(N) into n parts is tested.
     """
     n, total = game.n, game.v(game.grand)
-    candidates = comb(total + n - 1, n - 1)
-    if candidates > MAX_CORE_CANDIDATES:
-        raise UnsupportedSizeError(
-            f"v(N) = {total} splits {candidates:,} ways among {n} players; the "
-            f"integer core is searched over at most {MAX_CORE_CANDIDATES:,}")
-    sums = [(s, v) for s, v in game.items()]
+    sums = list(game.items())
     out = []
-
-    def rec(prefix: list[int], remaining: int):
-        if len(prefix) == n - 1:
-            candidate = prefix + [remaining]
-            x = PayoffVector.from_units([c * n for c in candidate], n)
-            if all(x.coalition_sum(s) >= v for s, v in sums):
-                out.append(x)
-            return
-        for value in range(remaining + 1):
-            rec(prefix + [value], remaining - value)
-
-    rec([], total)
+    for head in grid_units(n - 1, total):
+        x = PayoffVector.of(*head, total - sum(head))
+        if all(x.coalition_sum(s) >= v for s, v in sums):
+            out.append(x)
     return tuple(out)
 
 

@@ -179,7 +179,7 @@ def test_criterion_5_irrelevant_coalitions_never_flip_verdicts():
         i = rng.randint(1, 3)
         extra = rng.choice([s for s in cs3 if i not in s])
         family = [s for s in cs3 if s != extra and rng.random() < 0.5]
-        assert irrelevance_invariance(game, i, family, extra, sweep="grid")
+        assert irrelevance_invariance(game, i, family, extra)
 
 
 def test_criterion_6_balancedness_agrees_with_exact_feasibility():

@@ -158,18 +158,11 @@ def test_irrelevance_invariance_holds_on_examples():
     assert irrelevance_invariance(g2(), 2, [c("2"), c("1,2")], c("1"))
 
 
-def test_irrelevance_grid_sweep_mode():
-    g = TUGame.from_values(2, {"1": 1, "2": 1, "1,2": 2})
-    assert irrelevance_invariance(g, 1, [c("1")], c("2"), sweep="grid")
-
-
 def test_irrelevance_rejects_member_coalitions():
     with pytest.raises(InvalidInputError):
         irrelevance_invariance(g2(), 1, [c("1")], c("1,2"))
     with pytest.raises(InvalidInputError):
         irrelevance_invariance(g2(), 1, [c("1"), c("2")], c("2"))
-    with pytest.raises(InvalidInputError):
-        irrelevance_invariance(g2(), 1, [c("1")], c("2"), sweep="all")
 
 
 # ---------------------------------------------------------------------------

@@ -597,7 +597,8 @@ def test_core_refuses_a_worth_past_the_enumeration_guard(tmp_path, capsys):
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("unsupported size: v(N) = 1000000 splits 1,000,001 ways")
+    assert err.startswith("unsupported size: 1,000,001 vectors of length 1 have entries "
+                          "summing to at most 1000000")
 
 
 def test_replica_refuses_a_replica_count_past_the_listing_guard(econ_path, capsys):
@@ -711,6 +712,23 @@ def test_verify_covering_profiles(g2_path, capsys):
     assert "profiles checked: 3" in out
     assert "characterize the core: 3" in out
     assert "with violations: 0" in out
+
+
+@pytest.mark.parametrize("game, reason", [
+    ({"players": 2, "v": {"1": 0, "2": 0, "1,2": 100000}},
+     "surveying 3 profiles x 5,000,150,001 proposals x 2 players"),
+    ({"players": 4, "v": {str(s): 0 for s in all_coalitions(4)}},
+     "4 players have 2^32 member profiles"),
+], ids=["rich-grand-worth", "four-players"])
+def test_verify_refuses_a_survey_past_its_guards(game, reason, tmp_path, capsys):
+    path = tmp_path / "game.json"
+    dump_json(game, str(path))
+    start = time.monotonic()
+    assert main(["verify", str(path)]) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("unsupported size: " + reason)
 
 
 def test_verify_profile_file(g2_path, tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Every file a command reads is untrusted.  Each example takes a well-formed
 input for one command (an emitted proof file for `check`, a game for
-`core` and `accept`, an economy for `replica`), applies a few drawn
+`core`, `accept`, `verify` and `bs`, an economy for `replica`), applies a few drawn
 mutations (replace a value anywhere in the document, drop an object field
 or array entry, duplicate an array entry, or cut the text short), writes
 it and runs `main([command, file, ...])` in process.
@@ -92,11 +92,12 @@ def seeds(tmp_path_factory):
     acceptability._purge_spaces()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["prove", game, "-i", "1", "-K", "1;1,2", "-x", "1,1", "-o", proof]) == 0
-    return {"check": load_json(proof), "core": GAME, "accept": GAME, "replica": ECONOMY}
+    return {"check": load_json(proof), "core": GAME, "accept": GAME, "verify": GAME,
+            "bs": GAME, "replica": ECONOMY}
 
 
 ARGS = {"check": [], "core": [], "accept": ["-i", "1", "-K", "1;1,2", "-x", "1,1"],
-        "replica": []}
+        "verify": [], "bs": [], "replica": []}
 
 
 @pytest.mark.parametrize("command", sorted(ARGS))

@@ -7,6 +7,7 @@ which deliberately use nothing from the package beyond input construction.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,14 @@ from epicore import (
     InvalidInputError,
     PayoffVector,
     TUGame,
+    UnsupportedSizeError,
     all_coalitions,
     blocking_witness,
     core_membership,
     dominates,
     enumerate_integer_core,
 )
+from epicore.games import grid_units
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +160,23 @@ def test_default_bound_dominates_every_worth():
 
 
 # ---------------------------------------------------------------------------
-# core
+# bounded-sum grids and the core
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_grid_units_matches_product_and_filter(m):
+    for cap in range(7):
+        want = [t for t in product(range(cap + 1), repeat=m) if sum(t) <= cap]
+        got = list(grid_units(m, cap))
+        assert got == want, (m, cap)
+        assert len(got) == comb(cap + m, m)
+
+
+def test_grid_units_refuses_before_yielding():
+    # C(302, 2) = 45,451 tuples
+    with pytest.raises(UnsupportedSizeError, match="45,451 vectors of length 2"):
+        next(iter(grid_units(2, 300)))
+    assert len(grid_units(2, 198)) == 19_900
 
 
 def test_two_player_core_frozen():
