@@ -2,10 +2,10 @@
 
 Every file a command reads is untrusted.  Each example takes a well-formed
 input for one command (an emitted proof file for `check`, a game for
-`core`, `accept`, `verify` and `bs`, an economy for `replica`), applies a few drawn
-mutations (replace a value anywhere in the document, drop an object field
-or array entry, duplicate an array entry, or cut the text short), writes
-it and runs `main([command, file, ...])` in process.
+`core`, `accept`, `verify` and `bs`, an economy for `replica`), applies a
+few drawn mutations (replace a value anywhere in the document, drop an
+object field or array entry, duplicate an array entry, or cut the text
+short), writes it and runs `main([command, file, ...])` in process.
 
 The run must end in a documented exit code (0 ok, 1 invalid input, 2
 verification failure, 3 unsupported size) within EXAMPLE_SECONDS, with
