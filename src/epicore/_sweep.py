@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .acceptability import _atom_space, _Emitter, _purge_spaces, decide
 from .errors import VerificationFailure
 from .games import PayoffVector, TUGame, all_coalitions, grid_units
-from .logic import ChainCache, Not, check_proof, collector_paused
+from .logic import Not, check_proof, collector_paused
 
 
 @dataclass
@@ -69,8 +69,8 @@ def _check_class(emitter: _Emitter, space, i, xu, verdict, stats, label):
         stats.failures.append(f"{label}: proof root does not state the verdict")
         return
 
-    # most shared subtrees of an acceptable proof are the emitter's
-    res = check_proof(proof, ChainCache(emitter.checked, space.checked))
+    # the emitter's cache vouches for the subtrees its proofs share
+    res = check_proof(proof, emitter.cache)
     if not res.ok:
         stats.failures.append(f"{label}: proof rejected at {res.path}: {res.reason}")
 

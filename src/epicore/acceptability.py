@@ -81,6 +81,8 @@ class KnowledgeProfile:
         """families: mapping player -> iterable of coalitions (missing players
         get the empty family), or a sequence of n families."""
         if isinstance(families, dict):
+            if any(k not in range(1, n + 1) for k in families):
+                raise InvalidInputError(f"player keys must be 1..{n}, got {list(families)}")
             seq = [families.get(i, ()) for i in range(1, n + 1)]
         else:
             seq = list(families)
@@ -124,7 +126,7 @@ class _AtomSpace:
 
     Holds every formula the module ever builds over the grid (atoms,
     negations, comparisons, disjuncts) plus the knowledge-free refutation
-    subproofs and a persistent check cache seeded with them.  Lookups are
+    subproofs and a check cache holding their roots.  Lookups are
     keyed by integer unit tuples, so nothing here hashes Fractions.
     """
 
@@ -213,9 +215,10 @@ class _AtomSpace:
         return entry
 
     def _seed(self, tree: ProofTree) -> ProofTree:
-        # long-lived stub: record it (and descendants) in the check cache
-        res = check_proof(tree, self.checked)
+        # long-lived stub: record its root, the only node looked up again
+        res = check_proof(tree)
         assert res.ok, f"internal: bad refutation stub: {res.reason}"
+        self.checked[tree] = res
         return tree
 
     def refute_atom(self, i: int, units, tag) -> ProofTree:
@@ -396,7 +399,7 @@ class _Emitter:
     top layer of each proof.
     """
 
-    __slots__ = ("i", "space", "prefix", "gamma_fs", "_case1", "checked")
+    __slots__ = ("i", "space", "prefix", "gamma_fs", "_case1", "checked", "cache")
 
     def __init__(self, game: TUGame, i: int, family: tuple[Coalition, ...]):
         self.i = i
@@ -404,9 +407,10 @@ class _Emitter:
         self.prefix = (i,)
         self.gamma_fs = FormulaSet.layered(gamma(game, family))
         self._case1 = None
-        # check results for the subtrees in _case1; valid while the emitter
-        # lives, so checking many proposals re-verifies each only once
+        # check results for the branches in _case1; read with the space's
+        # stubs, so checking many proposals re-verifies each only once
         self.checked: dict = {}
+        self.cache = ChainCache(self.checked, self.space.checked)
 
     def _case1_branches(self, disjuncts) -> tuple:
         """Per disjunct, in big_or order (the same for every proposal):
@@ -416,7 +420,6 @@ class _Emitter:
         table = self._case1
         if table is None:
             space, prefix, gamma_fs = self.space, self.prefix, self.gamma_fs
-            cache = ChainCache(space.checked, local=self.checked)
             table = []
             for a in disjuncts:
                 atom = a.members[0]
@@ -426,8 +429,9 @@ class _Emitter:
                 node = ProofTree(
                     ThoughtSequent(prefix, gamma_fs.with_(atom), EMPTY_SET),
                     Rule.Th, (space.refute_atom(self.i, atom.vector, atom.coalition),))
-                res = check_proof(node, cache)
+                res = check_proof(node, space.checked)
                 assert res.ok, f"internal: bad atom-case branch: {res.reason}"
+                self.checked[node] = res
                 table.append(node)
             table = self._case1 = tuple(table)
         return table

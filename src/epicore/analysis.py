@@ -52,14 +52,16 @@ def integer_vectors_up_to(n: int, total: int) -> tuple[PayoffVector, ...]:
 def unanimous_acceptance_set(game: TUGame, profile: KnowledgeProfile) -> frozenset[PayoffVector]:
     """Integer proposals x with sum(x) <= v(N) that every player accepts
     under their own coalition family."""
+    return _accepted_by_all(game, profile,
+                            integer_vectors_up_to(game.n, game.v(game.grand)))
+
+
+def _accepted_by_all(game: TUGame, profile: KnowledgeProfile, proposals) -> frozenset:
     if profile.n != game.n:
         raise InvalidInputError("profile size does not match the game")
-    out = []
-    for x in integer_vectors_up_to(game.n, game.v(game.grand)):
-        if all(decide(game, i, profile.family(i), x).acceptable
-               for i in range(1, game.n + 1)):
-            out.append(x)
-    return frozenset(out)
+    return frozenset(x for x in proposals
+                     if all(decide(game, i, profile.family(i), x).acceptable
+                            for i in range(1, game.n + 1)))
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,18 @@ def characterizes_core(game: TUGame, profile: KnowledgeProfile) -> ProfileReport
     coalition without the owning player are tolerated (they cannot block)
     but flagged, since they fall outside the characterization hypothesis.
     """
+    return _report(game, profile, integer_vectors_up_to(game.n, game.v(game.grand)),
+                   frozenset(enumerate_integer_core(game)))
+
+
+def _report(game: TUGame, profile: KnowledgeProfile, proposals, core: frozenset) -> ProfileReport:
+    """characterizes_core given the game's integer proposals and core."""
     warnings = []
     for i in range(1, game.n + 1):
         for s in profile.family(i):
             if i not in s:
                 warnings.append(f"player {i} tracks {s} but is not a member")
-    unanimous = unanimous_acceptance_set(game, profile)
-    core = frozenset(enumerate_integer_core(game))
+    unanimous = _accepted_by_all(game, profile, proposals)
     violations = tuple(sorted(unanimous - core, key=lambda v: v.entries))
     missing = core - unanimous
     assert not missing, f"core point rejected: {sorted(missing)[0].entries}"
@@ -121,16 +128,21 @@ def counterexample_game(n: int, missing: Coalition) -> tuple[TUGame, PayoffVecto
 
 def profile_survey(game: TUGame, profiles: Iterable[KnowledgeProfile]) -> list[ProfileReport]:
     """One report per profile, refused before the first verdict when the
-    survey could ask for more than MAX_SURVEY_VERDICTS of them."""
+    survey could ask for more than MAX_SURVEY_VERDICTS of them.  The
+    game's proposals and integer core are built once for all profiles."""
     profiles = tuple(profiles)
-    proposals = comb(game.v(game.grand) + game.n, game.n)
-    verdicts = len(profiles) * proposals * game.n
+    count = comb(game.v(game.grand) + game.n, game.n)
+    verdicts = len(profiles) * count * game.n
     if verdicts > MAX_SURVEY_VERDICTS:
         raise UnsupportedSizeError(
-            f"surveying {len(profiles):,} profiles x {proposals:,} proposals x "
+            f"surveying {len(profiles):,} profiles x {count:,} proposals x "
             f"{game.n} players takes up to {verdicts:,} verdicts; surveys are "
             f"guarded to {MAX_SURVEY_VERDICTS:,}")
-    return [characterizes_core(game, p) for p in profiles]
+    if not profiles:
+        return []
+    proposals = integer_vectors_up_to(game.n, game.v(game.grand))
+    core = frozenset(enumerate_integer_core(game))
+    return [_report(game, p, proposals, core) for p in profiles]
 
 
 def member_profiles(n: int) -> tuple[KnowledgeProfile, ...]:

@@ -168,7 +168,7 @@ class TUGame:
             raise InvalidInputError(
                 f"expected {len(coalitions)} coalition values, got {len(self.values)}")
         for s, v in zip(coalitions, self.values):
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InvalidInputError(f"v({s}) must be a non-negative integer")
             if v >= self.bound:
                 raise InvalidInputError(f"v({s})={v} must be below the bound {self.bound}")

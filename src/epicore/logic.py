@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import is_
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidInputError
@@ -874,41 +875,31 @@ class CheckResult:
 
 
 class ChainCache:
-    """Layered check_proof cache.
+    """Two check_proof caches read as one, the first before the second."""
 
-    Lookups consult the persistent layers in order, inserts land in the
-    local layer.
-    """
+    __slots__ = ("_first", "_second")
 
-    __slots__ = ("layers", "local", "_gets")
-
-    def __init__(self, *layers: dict, local: Optional[dict] = None):
-        self.layers = layers
-        self.local = local if local is not None else {}
-        self._gets = tuple(d.get for d in layers) + (self.local.get,)
+    def __init__(self, first: dict, second: dict):
+        self._first, self._second = first.get, second.get
 
     def get(self, key):
-        for get in self._gets:
-            hit = get(key)
-            if hit is not None:
-                return hit
-        return None
-
-    def __setitem__(self, key, value):
-        self.local[key] = value
+        hit = self._first(key)
+        return hit if hit is not None else self._second(key)
 
 
 _OK = CheckResult(True)
+# the default: no subtree passed yet
+_NO_CACHE = MappingProxyType({})
 # a set lookup: reading an Enum member off its class is slow on hot paths
 _AXIOMS = frozenset((Rule.LogicalAxiom, Rule.NonLogicalAxiom))
 
 
-def check_proof(tree: ProofTree, cache: Optional[dict] = None) -> CheckResult:
+def check_proof(tree: ProofTree, cache=_NO_CACHE) -> CheckResult:
     """Validate every node of a proof tree.
 
-    `cache` maps checked subtrees (hashed by identity) to their
-    CheckResult and may be shared across calls when trees reuse immutable
-    subproofs; it is purely an accelerator and keeps its subtrees alive.
+    `cache` maps subtrees that already passed (hashed by identity) to
+    their CheckResult.  It is read, never written: a subtree found in it
+    is not checked again, and its owner decides what to record there.
     Returns a falsy result carrying the child-index path to the first
     failing node and a reason.  Raises InvalidInputError only when the
     check would make more than MAX_READS reads beyond the rows its nodes
@@ -919,14 +910,8 @@ def check_proof(tree: ProofTree, cache: Optional[dict] = None) -> CheckResult:
     if outermost:
         _allowance = MAX_READS
     try:
-        if cache is not None:
-            hit = cache.get(tree)
-            if hit is not None:
-                return hit
-        res = _check_node(tree, cache)
-        if cache is not None:
-            cache[tree] = res
-        return res
+        hit = cache.get(tree)
+        return hit if hit is not None else _check_node(tree, cache)
     finally:
         if outermost:
             _allowance = None
@@ -950,12 +935,9 @@ def _check_node(tree, cache) -> CheckResult:
         return CheckResult(False, (), f"{rule.value}: {reason}")
     for k, child in enumerate(children):
         # check_proof inlined: one cache lookup per child, no extra frame
-        if cache is None:
-            sub = _check_node(child, None)
-        else:
-            sub = cache.get(child)
-            if sub is None:
-                sub = cache[child] = _check_node(child, cache)
+        sub = cache.get(child)
+        if sub is None:
+            sub = _check_node(child, cache)
         if not sub.ok:
             return CheckResult(False, (k,) + sub.path, sub.reason)
     return _OK

@@ -142,6 +142,14 @@ def test_profile_of_requires_one_family_per_player():
         KnowledgeProfile.of(3, [[], []])
 
 
+def test_profile_of_refuses_player_keys_outside_the_player_set():
+    # a 0-based key would drop its family and accept every proposal
+    with pytest.raises(InvalidInputError, match=r"must be 1\.\.2, got \[3, 0\]"):
+        KnowledgeProfile.of(2, {3: ["1"], 0: ["1,2"]})
+    with pytest.raises(InvalidInputError, match="player keys"):
+        KnowledgeProfile.of(2, {1: ["1"], 0: ["1,2"]})
+
+
 # ---------------------------------------------------------------------------
 # frozen verdicts
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import rational_core_nonempty
+from epicore import analysis
 from epicore import (
     Coalition,
     InvalidInputError,
@@ -139,6 +140,19 @@ def test_profile_survey_matches_characterizes_core():
     assert sum(r.characterizes_core for r in reports) == 3
     for p, r in zip(profs, reports):
         assert r.profile == p
+        assert r == characterizes_core(g2(), p)
+
+
+def test_profile_survey_enumerates_the_core_once(monkeypatch):
+    calls = []
+
+    def counted(game):
+        calls.append(game)
+        return enumerate_integer_core(game)
+
+    monkeypatch.setattr(analysis, "enumerate_integer_core", counted)
+    assert len(profile_survey(g2(), member_profiles(2))) == 16
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

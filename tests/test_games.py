@@ -151,6 +151,12 @@ def test_game_worths_are_nonnegative_ints():
         TUGame.from_values(2, {"1": Fraction(1, 2), "2": 1, "1,2": 3})
 
 
+def test_game_refuses_bool_worths():
+    # as the game file loader does: True would pass as the worth 1
+    with pytest.raises(InvalidInputError, match="non-negative integer"):
+        TUGame.from_values(1, {"1": True})
+
+
 def test_default_bound_dominates_every_worth():
     g = two_player_game()
     assert g.bound == 61  # one more than twice the largest worth

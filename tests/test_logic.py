@@ -573,14 +573,27 @@ def test_check_proof_rejects_dangling_rule():
     assert not check_proof(th)
 
 
-def test_check_proof_cache_is_reusable():
+def test_check_proof_cache_is_reusable(monkeypatch):
+    # the kernel reads its cache and never writes it; a subtree the caller
+    # recorded there is not checked again
     shared = build_small_proof()
     wrap1 = ProofTree(seq([P], [Not(Not(G_TRUE))]), Rule.Th, (shared,))
     wrap2 = ProofTree(seq([Q], [Not(Not(G_TRUE))]), Rule.Th, (shared,))
     cache = {}
     assert check_proof(wrap1, cache)
-    assert shared in cache
+    assert cache == {}
+    cache[shared] = check_proof(shared)
+    visited = []
+    inner = logic._check_node
+
+    def counted(tree, c):
+        visited.append(tree)
+        return inner(tree, c)
+
+    monkeypatch.setattr(logic, "_check_node", counted)
     assert check_proof(wrap2, cache)
+    assert len(visited) == 1 and visited[0] is wrap2
+    assert list(cache) == [shared]
 
 
 def test_stale_cache_entry_never_vouches_for_a_new_node():
@@ -589,7 +602,8 @@ def test_stale_cache_entry_never_vouches_for_a_new_node():
     cache = {}
     for _ in range(50):
         good = ProofTree(seq([], [G_TRUE]), Rule.NonLogicalAxiom)
-        assert check_proof(good, cache)
+        cache[good] = check_proof(good)
+        assert cache[good]
         bad_sequent = seq([], [G_FALSE])
         del good
         bad = ProofTree(bad_sequent, Rule.NonLogicalAxiom)
